@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "attacks/replay.hpp"
 #include "common/parallel.hpp"
@@ -67,6 +68,46 @@ features::Dataset build_dataset(const PipelineConfig& config) {
   return dataset_from_traces(traces, window);
 }
 
+void VoteTally::add(int label) {
+  if (label < 0 || label >= apps::kNumApps) {
+    throw std::out_of_range("VoteTally: predicted label " + std::to_string(label) +
+                            " is not an app id");
+  }
+  ++votes_[static_cast<std::size_t>(label)];
+  ++windows_;
+}
+
+TraceVerdict VoteTally::verdict() const {
+  const auto winner = static_cast<std::size_t>(
+      std::max_element(votes_.begin(), votes_.end()) - votes_.begin());
+  TraceVerdict v;
+  v.app = static_cast<apps::AppId>(winner);
+  v.category = apps::category_of(v.app);
+  v.window_count = windows_;
+  v.votes = votes_[winner];
+  v.confidence =
+      windows_ > 0 ? static_cast<double>(v.votes) / static_cast<double>(windows_) : 0.0;
+  return v;
+}
+
+TraceVerdict classify_trace(const ml::Classifier& model, const sniffer::Trace& trace,
+                            TimeMs session_start, const features::WindowConfig& window) {
+  VoteTally tally;
+  features::Dataset window_set;
+  for (auto& w : features::extract_windows(trace, session_start, window)) {
+    window_set.add(std::move(w), 0);
+  }
+  if (!window_set.empty()) {
+    // One transpose, one batch predict: the columnar engine classifies the
+    // whole trace per tile (same per-window results as per-window predict).
+    const features::DatasetMatrix window_matrix(window_set);
+    for (const int p : model.predict_rows(window_matrix, window_matrix.all_rows())) {
+      tally.add(p);
+    }
+  }
+  return tally.verdict();
+}
+
 FingerprintPipeline::FingerprintPipeline(PipelineConfig config) : config_(config) {}
 
 features::WindowConfig FingerprintPipeline::window_config() const {
@@ -93,27 +134,7 @@ int FingerprintPipeline::predict_window(const features::FeatureVector& x) const 
 TraceVerdict FingerprintPipeline::classify_trace(const sniffer::Trace& trace,
                                                  TimeMs session_start) const {
   if (!model_) throw std::logic_error("FingerprintPipeline: not trained");
-  TraceVerdict verdict;
-  const auto windows = features::extract_windows(trace, session_start, window_config());
-  verdict.window_count = windows.size();
-  if (windows.empty()) return verdict;
-
-  // One transpose, one batch predict: the columnar engine classifies the
-  // whole trace per tile (same per-window results as per-window predict);
-  // the vote count is an order-stable reduction on the calling thread.
-  features::Dataset window_set;
-  for (const auto& w : windows) window_set.add(w, 0);
-  const features::DatasetMatrix window_matrix(window_set);
-  const auto predictions =
-      model_->predict_rows(window_matrix, window_matrix.all_rows());
-  std::vector<std::size_t> votes(apps::kNumApps, 0);
-  for (const int p : predictions) ++votes[static_cast<std::size_t>(p)];
-  const auto winner =
-      static_cast<std::size_t>(std::max_element(votes.begin(), votes.end()) - votes.begin());
-  verdict.app = static_cast<apps::AppId>(winner);
-  verdict.category = apps::category_of(verdict.app);
-  verdict.confidence = static_cast<double>(votes[winner]) / static_cast<double>(windows.size());
-  return verdict;
+  return attacks::classify_trace(*model_, trace, session_start, window_config());
 }
 
 ml::ConfusionMatrix FingerprintPipeline::evaluate(const features::Dataset& test_set) const {

@@ -7,6 +7,7 @@
 // VIII and Figures 8, 9.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -62,7 +63,32 @@ struct TraceVerdict {
   /// "F-score" column of the paper's Table V.
   double confidence = 0.0;
   std::size_t window_count = 0;
+  std::size_t votes = 0;  // windows voting for `app`
 };
+
+/// The majority vote over per-window app predictions: the one verdict rule
+/// shared by classify_trace, the streaming daemon and `ltefp classify`.
+/// Ties go to the lowest app id; with no windows the verdict is app 0 at
+/// confidence 0.
+class VoteTally {
+ public:
+  /// Counts one window's predicted label. Throws std::out_of_range unless
+  /// 0 <= label < apps::kNumApps.
+  void add(int label);
+
+  TraceVerdict verdict() const;
+
+ private:
+  std::array<std::size_t, apps::kNumApps> votes_{};
+  std::size_t windows_ = 0;
+};
+
+/// Whole-trace verdict: cuts `trace` into windows anchored at
+/// `session_start`, batch-predicts them with `model` and tallies the vote.
+/// Throws std::invalid_argument if `trace` is not time-ordered and
+/// std::out_of_range if `model` predicts a label that is not an app id.
+TraceVerdict classify_trace(const ml::Classifier& model, const sniffer::Trace& trace,
+                            TimeMs session_start, const features::WindowConfig& window);
 
 class FingerprintPipeline {
  public:

@@ -9,7 +9,7 @@
 #include <thread>
 #include <utility>
 
-#include "apps/app_id.hpp"
+#include "attacks/pipeline.hpp"
 #include "common/parallel.hpp"
 #include "common/spsc.hpp"
 #include "features/matrix.hpp"
@@ -33,13 +33,8 @@ bool verdict_before(const VerdictRecord& a, const VerdictRecord& b) {
   return a.lane < b.lane;
 }
 
-/// Per-session vote accumulator, keyed by (lane, session).
+/// Per-session vote tallies are keyed by (lane, session).
 using VoteKey = std::pair<std::uint32_t, std::uint32_t>;
-
-struct VoteState {
-  std::vector<std::size_t> votes = std::vector<std::size_t>(apps::kNumApps, 0);
-  std::uint32_t windows = 0;
-};
 
 struct Worker {
   explicit Worker(const StreamConfig& config)
@@ -59,7 +54,7 @@ struct Worker {
   Histogram latency;
   std::size_t window_verdicts = 0;
   std::size_t final_verdicts = 0;
-  std::map<VoteKey, VoteState> votes;
+  std::map<VoteKey, attacks::VoteTally> votes;
   std::vector<PendingWindow> pending_windows;
   std::vector<SessionEnd> pending_ends;
   std::vector<VerdictRecord> batch_out;
@@ -80,6 +75,25 @@ StreamDaemon::StreamDaemon(const ml::Classifier& model, StreamConfig config)
 
 namespace {
 
+/// The verdict `tally` gives at `time`, for the session `at` (a
+/// PendingWindow or a SessionEnd) belongs to.
+template <typename SessionCoords>
+VerdictRecord make_verdict(const SessionCoords& at, TimeMs time, const attacks::VoteTally& tally,
+                           bool final_verdict) {
+  const attacks::TraceVerdict tv = tally.verdict();
+  VerdictRecord v;
+  v.time = time;
+  v.cell = at.cell;
+  v.lane = at.lane;
+  v.rnti = at.rnti;
+  v.session = at.session;
+  v.app = tv.app;
+  v.confidence = tv.confidence;
+  v.windows = static_cast<std::uint32_t>(tv.window_count);
+  v.final_verdict = final_verdict;
+  return v;
+}
+
 /// Classifies one batch's pending windows, folds them into the session
 /// votes, appends the batch's verdicts (sorted), and publishes them with
 /// the acknowledged watermark.
@@ -94,53 +108,26 @@ void process_batch(Worker& w, const ml::Classifier& model, const StreamConfig& c
     const std::vector<int> predictions = model.predict_rows(matrix, rows);
     for (std::size_t i = 0; i < w.pending_windows.size(); ++i) {
       const PendingWindow& pw = w.pending_windows[i];
-      VoteState& vs = w.votes[VoteKey{pw.lane, pw.session}];
-      ++vs.votes[static_cast<std::size_t>(predictions[i])];
-      ++vs.windows;
+      attacks::VoteTally& tally = w.votes[VoteKey{pw.lane, pw.session}];
+      tally.add(predictions[i]);
       if (pw.last_record >= 0) {
         w.latency.add(static_cast<double>(pw.window_end - pw.last_record));
       }
       if (!config.emit_window_verdicts) continue;
-      const auto winner = static_cast<std::size_t>(
-          std::max_element(vs.votes.begin(), vs.votes.end()) - vs.votes.begin());
-      VerdictRecord v;
-      v.time = pw.window_end;
-      v.cell = pw.cell;
-      v.lane = pw.lane;
-      v.rnti = pw.rnti;
-      v.session = pw.session;
-      v.app = static_cast<apps::AppId>(winner);
-      v.confidence = static_cast<double>(vs.votes[winner]) / static_cast<double>(vs.windows);
-      v.windows = vs.windows;
-      v.final_verdict = false;
-      w.batch_out.push_back(v);
+      w.batch_out.push_back(make_verdict(pw, pw.window_end, tally, /*final_verdict=*/false));
       ++w.window_verdicts;
     }
   }
   for (const SessionEnd& e : w.pending_ends) {
-    // A session whose records were all link-filtered away has no vote
-    // entry; the all-zero vote mirrors classify_trace's default verdict.
-    VoteState vs;
+    // A session whose records were all link-filtered away has no tally;
+    // its final verdict is the empty vote's.
+    attacks::VoteTally tally;
     const auto it = w.votes.find(VoteKey{e.lane, e.session});
     if (it != w.votes.end()) {
-      vs = std::move(it->second);
+      tally = it->second;
       w.votes.erase(it);
     }
-    const auto winner = static_cast<std::size_t>(
-        std::max_element(vs.votes.begin(), vs.votes.end()) - vs.votes.begin());
-    VerdictRecord v;
-    v.time = e.end_time;
-    v.cell = e.cell;
-    v.lane = e.lane;
-    v.rnti = e.rnti;
-    v.session = e.session;
-    v.app = static_cast<apps::AppId>(winner);
-    v.confidence = vs.windows > 0 ? static_cast<double>(vs.votes[winner]) /
-                                        static_cast<double>(vs.windows)
-                                  : 0.0;
-    v.windows = vs.windows;
-    v.final_verdict = true;
-    w.batch_out.push_back(v);
+    w.batch_out.push_back(make_verdict(e, e.end_time, tally, /*final_verdict=*/true));
     ++w.final_verdicts;
   }
   w.pending_windows.clear();

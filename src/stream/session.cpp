@@ -6,13 +6,18 @@ namespace ltefp::stream {
 
 SessionAssembler::SessionAssembler(const features::WindowConfig& window, TimeMs idle_cutoff)
     : window_(window), idle_cutoff_(idle_cutoff) {
+  // Checked here, on the constructing thread: daemon workers build their
+  // windowers later and must not throw.
+  if (window_.window_ms < 1) {
+    throw std::invalid_argument("SessionAssembler: window_ms must be >= 1");
+  }
   if (idle_cutoff_ <= window_.window_ms) {
     throw std::invalid_argument("SessionAssembler: idle cutoff must exceed the window");
   }
 }
 
 void SessionAssembler::append_windows(std::uint32_t lane_id, const Lane& lane,
-                                      std::vector<WindowSlice>& slices,
+                                      std::vector<features::WindowSlice>& slices,
                                       std::vector<PendingWindow>& windows) {
   for (auto& s : slices) {
     PendingWindow w;

@@ -21,7 +21,6 @@
 #include "features/window.hpp"
 #include "lte/types.hpp"
 #include "sniffer/trace.hpp"
-#include "stream/window_stream.hpp"
 
 namespace ltefp::stream {
 
@@ -90,11 +89,11 @@ class SessionAssembler {
     lte::CellId cell = 0;
     lte::Rnti rnti = 0;
     TimeMs last_raw = -1;  // last record of the live session, pre-filter
-    std::optional<StreamingWindower> windower;  // engaged while live
+    std::optional<features::StreamingWindower> windower;  // engaged while live
   };
 
   void append_windows(std::uint32_t lane_id, const Lane& lane,
-                      std::vector<WindowSlice>& slices,
+                      std::vector<features::WindowSlice>& slices,
                       std::vector<PendingWindow>& windows);
   void close_session(std::uint32_t lane_id, Lane& lane,
                      std::vector<PendingWindow>& windows, std::vector<SessionEnd>& ends);
@@ -103,7 +102,7 @@ class SessionAssembler {
   TimeMs idle_cutoff_;
   // Ordered by lane id: advance()/finish() emission order is deterministic.
   std::map<std::uint32_t, Lane> lanes_;
-  std::vector<WindowSlice> scratch_;
+  std::vector<features::WindowSlice> scratch_;
   std::size_t records_ = 0;
   std::size_t sessions_ = 0;
 };

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "attacks/collect.hpp"
 #include "common/stats.hpp"
@@ -9,6 +12,7 @@
 #include "attacks/cost.hpp"
 #include "attacks/history.hpp"
 #include "attacks/pipeline.hpp"
+#include "ml/serialize.hpp"
 
 namespace ltefp::attacks {
 namespace {
@@ -143,6 +147,56 @@ TEST(Pipeline, EmptyTraceVerdictIsHarmless) {
   const TraceVerdict verdict = pipeline.classify_trace({}, 0);
   EXPECT_EQ(verdict.window_count, 0u);
   EXPECT_EQ(verdict.confidence, 0.0);
+}
+
+TEST(VoteTally, MajorityWinsAndTiesGoToLowestAppId) {
+  VoteTally tally;
+  const TraceVerdict none = tally.verdict();
+  EXPECT_EQ(none.app, apps::AppId::kNetflix);
+  EXPECT_EQ(none.window_count, 0u);
+  EXPECT_EQ(none.votes, 0u);
+  EXPECT_EQ(none.confidence, 0.0);
+
+  // Skype (8) and YouTube (1) tie 2-2: the lower app id wins.
+  for (const int label : {8, 1, 8, 1}) tally.add(label);
+  TraceVerdict v = tally.verdict();
+  EXPECT_EQ(v.app, apps::AppId::kYoutube);
+  EXPECT_EQ(v.category, apps::AppCategory::kStreaming);
+  EXPECT_EQ(v.votes, 2u);
+  EXPECT_EQ(v.window_count, 4u);
+  EXPECT_EQ(v.confidence, 0.5);
+
+  tally.add(8);
+  v = tally.verdict();
+  EXPECT_EQ(v.app, apps::AppId::kSkype);
+  EXPECT_EQ(v.votes, 3u);
+  EXPECT_EQ(v.confidence, 3.0 / 5.0);
+}
+
+TEST(VoteTally, RejectsLabelsOutsideTheAppCatalogue) {
+  VoteTally tally;
+  EXPECT_THROW(tally.add(-1), std::out_of_range);
+  EXPECT_THROW(tally.add(apps::kNumApps), std::out_of_range);
+  EXPECT_EQ(tally.verdict().window_count, 0u);  // rejected labels are not counted
+}
+
+TEST(VoteTally, ClassifyRejectsForestWithMoreClassesThanApps) {
+  // A one-leaf, 20-class forest that votes class 15 for every window.
+  std::string model = "ltefp-rf v1\ntrees 1 classes 20\ntree 1\nleaf";
+  for (int c = 0; c < 20; ++c) model += c == 15 ? " 1" : " 0";
+  std::istringstream in(model + "\n");
+  const ml::RandomForest forest = ml::load_forest(in);
+  ASSERT_EQ(forest.class_count(), 20);
+
+  CollectConfig collect;
+  collect.op = lte::Operator::kLab;
+  collect.duration = seconds(10);
+  collect.seed = 5;
+  const CollectedTrace capture = collect_trace(apps::AppId::kYoutube, collect);
+  ASSERT_FALSE(capture.trace.empty());
+  EXPECT_THROW(classify_trace(forest, capture.trace, capture.session_start,
+                              features::WindowConfig{}),
+               std::out_of_range);
 }
 
 TEST(History, ReconstructsShortItinerary) {

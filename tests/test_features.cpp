@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 
 namespace ltefp::features {
@@ -105,6 +107,22 @@ TEST(ExtractWindows, SizeHistogramFractions) {
   EXPECT_NEAR(f[19], 0.2, 1e-9);  // <=1000
   EXPECT_NEAR(f[20], 0.2, 1e-9);  // >1000
   EXPECT_EQ(f[21], 350.0);        // median
+}
+
+TEST(ExtractWindows, RejectsUnsortedTrace) {
+  // Fed in this order, the windower would silently drop the two late frames.
+  const Trace t{rec(1000, 100), rec(500, 100), rec(2000, 100), rec(100, 100)};
+  EXPECT_THROW(extract_windows(t, 0, WindowConfig{}), std::invalid_argument);
+}
+
+TEST(ExtractWindows, RejectsNonPositiveWindowLength) {
+  // A zero or negative window would never advance past the first record.
+  const Trace t{rec(10, 100)};
+  for (const TimeMs window_ms : {TimeMs{0}, TimeMs{-5}}) {
+    WindowConfig config;
+    config.window_ms = window_ms;
+    EXPECT_THROW(extract_windows(t, 0, config), std::invalid_argument) << window_ms;
+  }
 }
 
 TEST(AppendWindows, SetsLabelAndNames) {

@@ -45,6 +45,10 @@ struct ModelFactory {
   std::function<std::unique_ptr<Classifier>()> make;
 };
 
+// Without this, gtest prints the parameter as raw bytes, pointers included,
+// so the listed test names would change with every build's load address.
+void PrintTo(const ModelFactory& factory, std::ostream* os) { *os << factory.label; }
+
 class AllClassifiers : public ::testing::TestWithParam<ModelFactory> {};
 
 TEST_P(AllClassifiers, SeparatesWellSeparatedBlobs) {

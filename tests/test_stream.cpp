@@ -1,5 +1,6 @@
 // Tests for the streaming attack daemon (src/stream/): incremental window
-// extraction bit-identical to the batch extractor, session assembly across
+// extraction pinned to a digest of the batch extractor's output and
+// identical at every watermark cadence, session assembly across
 // idle cutoffs, verdict CSV format, corpus k-way merge ordering, and the
 // end-to-end streaming-equivalence contract — the daemon's verdict stream
 // is byte-identical at 1/2/8 workers and its final verdicts match batch
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -27,7 +29,6 @@
 #include "stream/replay_source.hpp"
 #include "stream/session.hpp"
 #include "stream/verdict.hpp"
-#include "stream/window_stream.hpp"
 #include "tracestore/corpus.hpp"
 
 namespace ltefp {
@@ -60,11 +61,11 @@ sniffer::Trace synth_trace(std::uint64_t seed, std::size_t n, TimeMs start,
 
 /// Streams `trace` through a StreamingWindower with the given watermark
 /// cadence (0 = none until finish) and returns the emitted slices.
-std::vector<stream::WindowSlice> stream_windows(const sniffer::Trace& trace,
+std::vector<features::WindowSlice> stream_windows(const sniffer::Trace& trace,
                                                 const features::WindowConfig& config,
                                                 TimeMs watermark_every) {
-  std::vector<stream::WindowSlice> out;
-  stream::StreamingWindower w(trace.front().time, config);
+  std::vector<features::WindowSlice> out;
+  features::StreamingWindower w(trace.front().time, config);
   TimeMs next_wm = watermark_every > 0 ? watermark_every : 0;
   for (const auto& r : trace) {
     if (watermark_every > 0 && r.time >= next_wm) {
@@ -78,7 +79,29 @@ std::vector<stream::WindowSlice> stream_windows(const sniffer::Trace& trace,
   return out;
 }
 
+/// FNV-1a over the bit pattern of every feature of every window, with each
+/// vector's length folded in: any value that moves by one ulp changes it.
+std::uint64_t fold_digest(std::uint64_t h, const std::vector<features::WindowSlice>& slices) {
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  };
+  mix(slices.size());
+  for (const auto& s : slices) {
+    mix(s.features.size());
+    for (const double v : s.features) mix(std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
 TEST(StreamWindower, BitIdenticalToBatchExtractor) {
+  // Oracle: the digest of what the former standalone batch extractor
+  // (features::extract_windows before it became a driver over the
+  // windower) produced on this grid. Every watermark cadence must
+  // reproduce the cadence-free stream exactly.
+  std::uint64_t digest = 0xCBF29CE484222325ull;
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
     const sniffer::Trace trace = synth_trace(seed, 400, /*start=*/2000);
     for (const auto link : {lte::LinkFilter::kBoth, lte::LinkFilter::kDownlinkOnly,
@@ -87,22 +110,24 @@ TEST(StreamWindower, BitIdenticalToBatchExtractor) {
         features::WindowConfig config;
         config.link = link;
         config.include_empty = include_empty;
-        const auto batch = features::extract_windows(trace, trace.front().time, config);
-        for (const TimeMs cadence : {TimeMs{0}, TimeMs{128}, TimeMs{1}, TimeMs{1000}}) {
+        const auto reference = stream_windows(trace, config, 0);
+        digest = fold_digest(digest, reference);
+        for (const TimeMs cadence : {TimeMs{128}, TimeMs{1}, TimeMs{1000}}) {
           const auto slices = stream_windows(trace, config, cadence);
-          ASSERT_EQ(slices.size(), batch.size())
+          ASSERT_EQ(slices.size(), reference.size())
               << "seed=" << seed << " link=" << static_cast<int>(link)
               << " empty=" << include_empty << " cadence=" << cadence;
-          for (std::size_t i = 0; i < batch.size(); ++i) {
+          for (std::size_t i = 0; i < reference.size(); ++i) {
             // Exact double equality: the contract is bit-identity, not
             // tolerance.
-            ASSERT_EQ(slices[i].features, batch[i])
+            ASSERT_EQ(slices[i].features, reference[i].features)
                 << "window " << i << " cadence " << cadence;
           }
         }
       }
     }
   }
+  EXPECT_EQ(digest, 0xC79F5151B65A7060ull);
 }
 
 TEST(StreamWindower, SliceMetadataMatchesWindowGrid) {
@@ -130,9 +155,9 @@ TEST(StreamWindower, EmptyTailWindowsAreDiscarded) {
   sniffer::Trace trace = synth_trace(11, 50, /*start=*/0);
   const auto batch = features::extract_windows(trace, trace.front().time, config);
   // A long watermark run past the last record buffers empty windows that
-  // the batch extractor would never emit; finish() must drop them.
-  std::vector<stream::WindowSlice> out;
-  stream::StreamingWindower w(trace.front().time, config);
+  // the batch driver (no watermarks) never emits; finish() must drop them.
+  std::vector<features::WindowSlice> out;
+  features::StreamingWindower w(trace.front().time, config);
   for (const auto& r : trace) w.feed(r, out);
   w.close_until(trace.back().time + 10'000, out);
   w.finish(out);
@@ -231,6 +256,13 @@ TEST(StreamSession, RejectsCutoffNotExceedingWindow) {
   EXPECT_THROW(stream::SessionAssembler(window, 100), std::invalid_argument);
   EXPECT_THROW(stream::SessionAssembler(window, 50), std::invalid_argument);
   EXPECT_NO_THROW(stream::SessionAssembler(window, 101));
+}
+
+TEST(StreamSession, RejectsNonPositiveWindowBeforeAnyWorkerRuns) {
+  features::WindowConfig window;
+  window.window_ms = 0;
+  EXPECT_THROW(stream::SessionAssembler(window, attacks::kSessionIdleCutoffMs),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 #   2. ltefp-lint over src/ tools/ bench/ tests/ (explicit, for a clear log;
 #      prints per-rule finding counts + wall time and writes a machine-
 #      readable report to build-check/lint-findings.json)
-#   3. the tier-1 ctest suite
+#   3. the tier-1 ctest suite (including the `golden` output digests), then
+#      the forced-scalar suites and the CLI smokes (synth -> scan, live
+#      synth, train -> collect -> classify) and e2ebench/smoke_test.py
 #   4. when the compiler supports them: the ASan+UBSan decoder suites and
 #      the TSan parallel/attack suites (skip with --no-sanitizers)
 #
@@ -205,6 +207,28 @@ if [[ "$main_gate" == 1 ]]; then
   "$ROOT/build-check/tools/ltefp" scan --corpus "$live_dir" \
     --t0 0 --t1 3600000 --verify true
   rm -rf "$live_dir"
+
+  step "train -> collect -> classify smoke (ltefp CLI)"
+  # The attack as a user runs it: a small model, a fresh capture, and a
+  # verdict that must name the captured app.
+  cli_dir="$ROOT/build-check/cli_smoke"
+  rm -rf "$cli_dir"
+  mkdir -p "$cli_dir"
+  "$ROOT/build-check/tools/ltefp" train --traces 1 --minutes 0.5 --out "$cli_dir/model.rf"
+  "$ROOT/build-check/tools/ltefp" collect --app YouTube --minutes 0.5 --out "$cli_dir/yt.csv"
+  verdict="$("$ROOT/build-check/tools/ltefp" classify --model "$cli_dir/model.rf" \
+    --trace "$cli_dir/yt.csv")"
+  echo "$verdict"
+  if [[ "$verdict" != "YouTube (Streaming)"* ]]; then
+    echo "classify smoke: expected a YouTube (Streaming) verdict" >&2
+    exit 1
+  fi
+  rm -rf "$cli_dir"
+
+  step "end-to-end benchmark smoke (e2ebench/smoke_test.py)"
+  # Every workload at smoke size, untraced and traced, with its output
+  # oracles (error_rate 0); builds the benchmark driver on first use.
+  python3 "$ROOT/e2ebench/smoke_test.py"
 fi
 
 if [[ "$sanitizers" == 1 ]]; then

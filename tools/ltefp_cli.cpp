@@ -50,8 +50,6 @@
 #include "tracestore/mapped_reader.hpp"
 #include "tracestore/synth.hpp"
 
-#include <algorithm>
-
 using namespace ltefp;
 
 namespace {
@@ -106,6 +104,21 @@ apps::AppId parse_app(const std::string& name) {
   const auto app = apps::app_from_string(name);
   if (!app) throw std::runtime_error("unknown app '" + name + "' (see `ltefp info`)");
   return *app;
+}
+
+/// Loads the --model forest. Its labels index the app catalogue, so a
+/// forest with any other class count is rejected.
+ml::RandomForest load_model(const Args& args) {
+  const std::string path = args.get_or("model", "model.rf");
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  ml::RandomForest forest = ml::load_forest(in);
+  if (forest.class_count() != apps::kNumApps) {
+    throw std::runtime_error(path + ": model has " + std::to_string(forest.class_count()) +
+                             " classes, expected one per app (" +
+                             std::to_string(apps::kNumApps) + ")");
+  }
+  return forest;
 }
 
 int cmd_collect(const Args& args) {
@@ -229,10 +242,7 @@ int cmd_stream(const Args& args) {
   if (!tracestore::Corpus::exists(dir)) {
     throw std::runtime_error("no corpus manifest in " + dir + " (run `ltefp record` first)");
   }
-  const std::string model_path = args.get_or("model", "model.rf");
-  std::ifstream model_in(model_path);
-  if (!model_in) throw std::runtime_error("cannot read " + model_path);
-  const ml::RandomForest forest = ml::load_forest(model_in);
+  const ml::RandomForest forest = load_model(args);
 
   stream::StreamConfig config;
   config.window.window_ms = static_cast<TimeMs>(args.number("window-ms", 100));
@@ -438,10 +448,7 @@ int cmd_train(const Args& args) {
 }
 
 int cmd_classify(const Args& args) {
-  const std::string model_path = args.get_or("model", "model.rf");
-  std::ifstream model_in(model_path);
-  if (!model_in) throw std::runtime_error("cannot read " + model_path);
-  const ml::RandomForest forest = ml::load_forest(model_in);
+  const ml::RandomForest forest = load_model(args);
 
   const std::string trace_path = args.get_or("trace", "trace.csv");
   std::ifstream trace_in(trace_path);
@@ -453,15 +460,10 @@ int cmd_classify(const Args& args) {
 
   features::WindowConfig window;
   window.window_ms = static_cast<TimeMs>(args.number("window-ms", 100));
-  const auto windows = features::extract_windows(trace, trace.front().time, window);
-
-  std::vector<std::size_t> votes(apps::kNumApps, 0);
-  for (const auto& w : windows) ++votes[static_cast<std::size_t>(forest.predict(w))];
-  const auto winner = static_cast<std::size_t>(
-      std::max_element(votes.begin(), votes.end()) - votes.begin());
-  const auto app = static_cast<apps::AppId>(winner);
-  std::printf("%s (%s), %zu/%zu window votes\n", apps::to_string(app),
-              apps::to_string(apps::category_of(app)), votes[winner], windows.size());
+  const attacks::TraceVerdict verdict =
+      attacks::classify_trace(forest, trace, trace.front().time, window);
+  std::printf("%s (%s), %zu/%zu window votes\n", apps::to_string(verdict.app),
+              apps::to_string(verdict.category), verdict.votes, verdict.window_count);
   return 0;
 }
 
