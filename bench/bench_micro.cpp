@@ -21,6 +21,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -50,7 +51,6 @@
 #include "stream/verdict.hpp"
 #include "tracestore/corpus.hpp"
 #include "tracestore/mapped_reader.hpp"
-#include "tracestore/reader.hpp"
 #include "tracestore/synth.hpp"
 #include "tracestore/writer.hpp"
 
@@ -200,9 +200,10 @@ void BM_TraceStoreRead(benchmark::State& state) {
   std::ostringstream out;
   tracestore::write_trace(out, meta, trace);
   const std::string image = out.str();
+  const std::span<const std::uint8_t> bytes(reinterpret_cast<const std::uint8_t*>(image.data()),
+                                            image.size());
   for (auto _ : state) {
-    std::istringstream in(image);
-    benchmark::DoNotOptimize(tracestore::read_trace(in));
+    benchmark::DoNotOptimize(tracestore::MappedReader(bytes).read_all());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -240,7 +241,6 @@ const BenchCorpus& small_corpus() {
     options.ues_per_cell = 12;
     options.sessions_per_ue_hour = 3.0;
     options.corpus.entries_per_shard = 8;
-    options.corpus.trace.version = tracestore::kFormatVersionV2;
     options.corpus.trace.compress = true;
     // Small enough chunks that intra-file directory pruning is visible in
     // the chunks_skipped counter even on this few-MB corpus.
@@ -304,38 +304,6 @@ void BM_CorpusFullDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusFullDecode)->Unit(benchmark::kMillisecond);
 
-void BM_CorpusFullDecodeV1Stream(benchmark::State& state) {
-  // The same synth data written as v1 and decoded through the streaming
-  // Reader over ifstream — the baseline the mapped path is measured
-  // against (BM_CorpusFullDecode / BM_CorpusFullDecodeV1Stream).
-  static const BenchCorpus corpus_v1 = [] {
-    tracestore::SynthOptions options;
-    options.seed = 7;
-    options.cells = 4;
-    options.hours = 6;
-    options.ues_per_cell = 12;
-    options.sessions_per_ue_hour = 3.0;
-    options.corpus.entries_per_shard = 8;
-    options.corpus.trace.version = tracestore::kFormatVersion;
-    return BenchCorpus("corpus_v1", options);
-  }();
-  const tracestore::Corpus corpus = tracestore::Corpus::open(corpus_v1.dir);
-  std::size_t records = 0;
-  for (auto _ : state) {
-    records = 0;
-    for (const auto& entry : corpus.entries()) {
-      std::ifstream in(corpus_v1.dir + "/" + entry.file, std::ios::binary);
-      records += tracestore::read_trace(in).size();
-    }
-    benchmark::DoNotOptimize(records);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(records));
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(corpus_v1.bytes));
-}
-BENCHMARK(BM_CorpusFullDecodeV1Stream)->Unit(benchmark::kMillisecond);
-
 const BenchCorpus* large_corpus() {
   if (std::getenv("LTEFP_BENCH_LARGE") == nullptr) return nullptr;
   // >= 1 GB plain-v2 corpus: 96 cells x 24 h x 80 UEs. Built once per
@@ -348,7 +316,6 @@ const BenchCorpus* large_corpus() {
     options.ues_per_cell = 80;
     options.sessions_per_ue_hour = 8.0;
     options.corpus.entries_per_shard = 64;
-    options.corpus.trace.version = tracestore::kFormatVersionV2;
     return BenchCorpus("corpus_large", options);
   }();
   return &corpus;

@@ -4,8 +4,17 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "features/window.hpp"
+
 namespace ltefp::ml {
 namespace {
+
+// Header counts are untrusted and size allocations, so each is bounded
+// before anything is reserved. The caps sit far above any forest this
+// repo trains (by default 100 trees over the 9 apps).
+constexpr int kMaxTrees = 10'000;
+constexpr int kMaxClasses = 1'024;
+constexpr int kMaxNodesPerTree = 1 << 20;
 
 void expect_token(std::istream& in, const std::string& expected) {
   std::string token;
@@ -52,13 +61,21 @@ RandomForest load_forest(std::istream& in) {
   expect_token(in, "classes");
   const int classes = read_value<int>(in, "class count");
   if (tree_count <= 0 || classes <= 0) throw std::runtime_error("model load: bad header counts");
+  if (tree_count > kMaxTrees || classes > kMaxClasses) {
+    throw std::runtime_error("model load: " + std::to_string(tree_count) + " trees / " +
+                             std::to_string(classes) + " classes exceeds the cap of " +
+                             std::to_string(kMaxTrees) + " / " + std::to_string(kMaxClasses));
+  }
 
   std::vector<DecisionTree> trees;
   trees.reserve(static_cast<std::size_t>(tree_count));
   for (int t = 0; t < tree_count; ++t) {
     expect_token(in, "tree");
     const int node_count = read_value<int>(in, "node count");
-    if (node_count <= 0) throw std::runtime_error("model load: bad node count");
+    if (node_count <= 0 || node_count > kMaxNodesPerTree) {
+      throw std::runtime_error("model load: node count " + std::to_string(node_count) +
+                               " outside [1, " + std::to_string(kMaxNodesPerTree) + "]");
+    }
     std::vector<DecisionTree::ExportedNode> nodes;
     nodes.reserve(static_cast<std::size_t>(node_count));
     for (int i = 0; i < node_count; ++i) {
@@ -101,6 +118,10 @@ features::Standardizer load_standardizer(std::istream& in) {
   expect_token(in, "ltefp-std");
   expect_token(in, "v1");
   const auto dims = read_value<std::size_t>(in, "dims");
+  if (dims == 0 || dims > features::kFeatureCount) {
+    throw std::runtime_error("model load: standardizer dims " + std::to_string(dims) +
+                             " outside [1, " + std::to_string(features::kFeatureCount) + "]");
+  }
   std::vector<double> means(dims), stddevs(dims);
   for (auto& m : means) m = read_value<double>(in, "mean");
   for (auto& sd : stddevs) sd = read_value<double>(in, "stddev");

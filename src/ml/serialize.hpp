@@ -24,10 +24,12 @@ namespace ltefp::ml {
 void save_forest(std::ostream& out, const RandomForest& forest);
 
 /// Reads a forest previously written by save_forest. Throws
-/// std::runtime_error on malformed input.
+/// std::runtime_error on malformed input, including tree, node or class
+/// counts above the loader's caps (checked before any allocation).
 RandomForest load_forest(std::istream& in);
 
-/// Standardiser persistence (mean/stddev rows).
+/// Standardiser persistence (mean/stddev rows). load_standardizer throws
+/// std::runtime_error on a dimension outside [1, features::kFeatureCount].
 void save_standardizer(std::ostream& out, const features::Standardizer& standardizer);
 features::Standardizer load_standardizer(std::istream& in);
 

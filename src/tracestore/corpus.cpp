@@ -18,17 +18,12 @@ namespace {
 
 constexpr const char* kManifestName = "manifest.csv";
 
-// Legacy flat manifest (v1 rows, no time range).
-const std::vector<std::string> kManifestHeader = {
-    "seq", "file", "op", "app", "label", "day", "seed", "cell",
-    "session_start_ms", "records", "bytes"};
-
-// Flat or shard-file manifest with per-trace time ranges.
-const std::vector<std::string> kManifestHeaderV2 = {
+// Shard file: one row per trace.
+const std::vector<std::string> kShardHeader = {
     "seq", "file", "op", "app", "label", "day", "seed", "cell",
     "session_start_ms", "records", "bytes", "t0_ms", "t1_ms"};
 
-// Root manifest of a sharded corpus: one summary row per shard file.
+// Root manifest: one summary row per shard file.
 const std::vector<std::string> kShardIndexHeader = {
     "shard", "file", "entries", "records", "bytes", "day_min", "day_max",
     "op_mask", "app_mask", "t0_ms", "t1_ms"};
@@ -53,11 +48,22 @@ std::int64_t parse_i64(const std::string& cell, const char* field, std::size_t r
   return value;
 }
 
-/// Parses one manifest data row (shared 11-column prefix; v2 adds t0/t1).
-CorpusEntry parse_entry_row(const std::vector<std::string>& row, std::size_t i, bool v2) {
+/// Manifest file names are untrusted: only a bare name inside the corpus
+/// directory is accepted, never an absolute path or one that climbs out.
+const std::string& bare_filename(const std::string& name, const std::string& where) {
+  if (name.empty() || name == "." || name == ".." ||
+      name.find_first_of(std::string("/\\\0", 3)) != std::string::npos) {
+    throw TraceStoreError("corpus: " + where + ": file name '" + name +
+                          "' is not a bare file name inside the corpus directory");
+  }
+  return name;
+}
+
+/// Parses one shard-file row.
+CorpusEntry parse_entry_row(const std::vector<std::string>& row, std::size_t i) {
   CorpusEntry e;
   e.seq = parse_u64(row[0], "seq", i);
-  e.file = row[1];
+  e.file = bare_filename(row[1], "manifest row " + std::to_string(i));
   const std::uint64_t op = parse_u64(row[2], "op", i);
   if (op > static_cast<std::uint64_t>(lte::Operator::kTmobile)) {
     throw TraceStoreError("corpus: manifest row " + std::to_string(i) +
@@ -72,11 +78,8 @@ CorpusEntry parse_entry_row(const std::vector<std::string>& row, std::size_t i, 
   e.meta.session_start = parse_i64(row[8], "session_start_ms", i);
   e.records = parse_u64(row[9], "records", i);
   e.bytes = parse_u64(row[10], "bytes", i);
-  if (v2) {
-    e.t0_ms = parse_i64(row[11], "t0_ms", i);
-    e.t1_ms = parse_i64(row[12], "t1_ms", i);
-    e.has_time_range = true;
-  }
+  e.t0_ms = parse_i64(row[11], "t0_ms", i);
+  e.t1_ms = parse_i64(row[12], "t1_ms", i);
   return e;
 }
 
@@ -142,14 +145,10 @@ const CorpusEntry& CorpusWriter::add(const TraceMeta& meta, const sniffer::Trace
   entry.file = name;
   entry.meta = meta;
   entry.records = trace.size();
-  entry.has_time_range = true;
   if (!trace.empty()) {
+    // The writer below rejects unordered traces, so the ends are the range.
     entry.t0_ms = trace.front().time;
-    entry.t1_ms = trace.front().time;
-    for (const sniffer::TraceRecord& r : trace) {
-      entry.t0_ms = std::min(entry.t0_ms, r.time);
-      entry.t1_ms = std::max(entry.t1_ms, r.time);
-    }
+    entry.t1_ms = trace.back().time;
   }
 
   const fs::path path = fs::path(directory_) / entry.file;
@@ -165,21 +164,12 @@ const CorpusEntry& CorpusWriter::add(const TraceMeta& meta, const sniffer::Trace
 void CorpusWriter::finish() {
   if (finished_) return;
   const fs::path root = fs::path(directory_) / kManifestName;
+  const std::size_t per_shard = options_.entries_per_shard > 0
+                                    ? options_.entries_per_shard
+                                    : std::max<std::size_t>(entries_.size(), 1);
 
-  if (options_.entries_per_shard == 0) {
-    std::ofstream out(root, std::ios::trunc);
-    if (!out) throw TraceStoreError("corpus: cannot write " + root.string());
-    CsvWriter csv(out);
-    csv.write_row(kManifestHeaderV2);
-    for (const auto& e : entries_) csv.write_row(entry_row(e));
-    out.flush();
-    if (!out) throw TraceStoreError("corpus: manifest write failed for " + root.string());
-    finished_ = true;
-    return;
-  }
-
-  // Sharded layout: shard files first, then the index that makes the
-  // corpus visible — an interrupted finish() leaves no manifest.csv.
+  // Shard files first, then the index that makes the corpus visible — an
+  // interrupted finish() leaves no manifest.csv.
   struct Summary {
     std::string file;
     std::size_t entry_count = 0;
@@ -194,8 +184,8 @@ void CorpusWriter::finish() {
   };
   std::vector<Summary> summaries;
   for (std::size_t begin = 0; begin < entries_.size() || summaries.empty();
-       begin += options_.entries_per_shard) {
-    const std::size_t end = std::min(entries_.size(), begin + options_.entries_per_shard);
+       begin += per_shard) {
+    const std::size_t end = std::min(entries_.size(), begin + per_shard);
     Summary s;
     char name[32];
     std::snprintf(name, sizeof(name), "manifest_%04zu.csv", summaries.size());
@@ -204,7 +194,7 @@ void CorpusWriter::finish() {
     std::ofstream out(shard_path, std::ios::trunc);
     if (!out) throw TraceStoreError("corpus: cannot write " + shard_path.string());
     CsvWriter csv(out);
-    csv.write_row(kManifestHeaderV2);
+    csv.write_row(kShardHeader);
     for (std::size_t i = begin; i < end; ++i) {
       const CorpusEntry& e = entries_[i];
       csv.write_row(entry_row(e));
@@ -261,78 +251,57 @@ bool Corpus::exists(const std::string& directory) {
 Corpus Corpus::open(const std::string& directory) {
   const fs::path path = fs::path(directory) / kManifestName;
   const auto rows = read_csv_file(path, "manifest");
-  if (rows.empty()) {
+  if (rows.empty() || rows[0] != kShardIndexHeader) {
     throw TraceStoreError("corpus: malformed manifest header in " + path.string());
   }
 
   Corpus corpus;
   corpus.directory_ = directory;
-
-  if (rows[0] == kManifestHeader || rows[0] == kManifestHeaderV2) {
-    const bool v2 = rows[0] == kManifestHeaderV2;
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (rows[i].size() != rows[0].size()) {
-        throw TraceStoreError("corpus: manifest row " + std::to_string(i) + " has " +
-                              std::to_string(rows[i].size()) + " fields, expected " +
-                              std::to_string(rows[0].size()));
-      }
-      corpus.entries_.push_back(parse_entry_row(rows[i], i, v2));
+  std::size_t next_seq = 0;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    if (row.size() != kShardIndexHeader.size()) {
+      throw TraceStoreError("corpus: shard index row " + std::to_string(i) + " has " +
+                            std::to_string(row.size()) + " fields, expected " +
+                            std::to_string(kShardIndexHeader.size()));
     }
-    corpus.entries_complete_ = true;
-    return corpus;
-  }
-
-  if (rows[0] == kShardIndexHeader) {
-    corpus.sharded_ = true;
-    std::size_t next_seq = 0;
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      if (row.size() != kShardIndexHeader.size()) {
-        throw TraceStoreError("corpus: shard index row " + std::to_string(i) + " has " +
-                              std::to_string(row.size()) + " fields, expected " +
-                              std::to_string(kShardIndexHeader.size()));
-      }
-      if (parse_u64(row[0], "shard", i) != i - 1) {
-        throw TraceStoreError("corpus: shard index row " + std::to_string(i) +
-                              " out of order");
-      }
-      Shard s;
-      s.file = row[1];
-      s.entry_count = parse_u64(row[2], "entries", i);
-      s.records = parse_u64(row[3], "records", i);
-      s.bytes = parse_u64(row[4], "bytes", i);
-      s.day_min = static_cast<std::int32_t>(parse_i64(row[5], "day_min", i));
-      s.day_max = static_cast<std::int32_t>(parse_i64(row[6], "day_max", i));
-      s.op_mask = parse_u64(row[7], "op_mask", i);
-      s.app_mask = parse_u64(row[8], "app_mask", i);
-      s.t0 = parse_i64(row[9], "t0_ms", i);
-      s.t1 = parse_i64(row[10], "t1_ms", i);
-      s.first_seq = next_seq;
-      next_seq += s.entry_count;
-      corpus.shards_.push_back(std::move(s));
+    if (parse_u64(row[0], "shard", i) != i - 1) {
+      throw TraceStoreError("corpus: shard index row " + std::to_string(i) + " out of order");
     }
-    return corpus;
+    Shard s;
+    s.file = bare_filename(row[1], "shard index row " + std::to_string(i));
+    s.entry_count = parse_u64(row[2], "entries", i);
+    s.records = parse_u64(row[3], "records", i);
+    s.bytes = parse_u64(row[4], "bytes", i);
+    s.day_min = static_cast<std::int32_t>(parse_i64(row[5], "day_min", i));
+    s.day_max = static_cast<std::int32_t>(parse_i64(row[6], "day_max", i));
+    s.op_mask = parse_u64(row[7], "op_mask", i);
+    s.app_mask = parse_u64(row[8], "app_mask", i);
+    s.t0 = parse_i64(row[9], "t0_ms", i);
+    s.t1 = parse_i64(row[10], "t1_ms", i);
+    s.first_seq = next_seq;
+    next_seq += s.entry_count;
+    corpus.shards_.push_back(std::move(s));
   }
-
-  throw TraceStoreError("corpus: malformed manifest header in " + path.string());
+  return corpus;
 }
 
 const std::vector<CorpusEntry>& Corpus::shard_rows(const Shard& shard) const {
   if (!shard.loaded) {
     const fs::path path = fs::path(directory_) / shard.file;
     const auto rows = read_csv_file(path, "manifest shard");
-    if (rows.empty() || rows[0] != kManifestHeaderV2) {
+    if (rows.empty() || rows[0] != kShardHeader) {
       throw TraceStoreError("corpus: malformed shard header in " + path.string());
     }
     std::vector<CorpusEntry> parsed;
     parsed.reserve(rows.size() - 1);
     for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (rows[i].size() != kManifestHeaderV2.size()) {
+      if (rows[i].size() != kShardHeader.size()) {
         throw TraceStoreError("corpus: shard row " + std::to_string(i) + " in " + path.string() +
                               " has " + std::to_string(rows[i].size()) + " fields, expected " +
-                              std::to_string(kManifestHeaderV2.size()));
+                              std::to_string(kShardHeader.size()));
       }
-      parsed.push_back(parse_entry_row(rows[i], i, /*v2=*/true));
+      parsed.push_back(parse_entry_row(rows[i], i));
     }
     if (parsed.size() != shard.entry_count) {
       throw TraceStoreError("corpus: " + shard.file + " holds " +
@@ -382,17 +351,11 @@ bool shard_may_match(const Corpus::Shard& s, const CorpusFilter& filter) {
 
 std::vector<CorpusEntry> Corpus::select(const CorpusFilter& filter) const {
   std::vector<CorpusEntry> out;
-  if (sharded_ && !entries_complete_) {
-    for (const Shard& s : shards_) {
-      if (!shard_may_match(s, filter)) continue;
-      for (const CorpusEntry& e : shard_rows(s)) {
-        if (filter.matches(e.meta)) out.push_back(e);
-      }
+  for (const Shard& s : shards_) {
+    if (!shard_may_match(s, filter)) continue;
+    for (const CorpusEntry& e : shard_rows(s)) {
+      if (filter.matches(e.meta)) out.push_back(e);
     }
-    return out;
-  }
-  for (const auto& e : entries()) {
-    if (filter.matches(e.meta)) out.push_back(e);
   }
   return out;
 }
@@ -446,8 +409,7 @@ std::vector<Corpus::LoadedTrace> Corpus::range_scan(const RangeQuery& q,
       ++local.entries_pruned;
       return;
     }
-    const bool overlaps =
-        e.records > 0 && (!e.has_time_range || (e.t1_ms >= q.t0 && e.t0_ms <= q.t1));
+    const bool overlaps = e.records > 0 && e.t1_ms >= q.t0 && e.t0_ms <= q.t1;
     if (overlaps) {
       cands.push_back({e, true});
       return;
@@ -456,20 +418,13 @@ std::vector<Corpus::LoadedTrace> Corpus::range_scan(const RangeQuery& q,
     if (q.keep_empty_entries) cands.push_back({e, false});
   };
 
-  if (sharded_ && !entries_complete_) {
-    local.shards_total = shards_.size();
-    for (const Shard& s : shards_) {
-      const bool meta_ok = shard_may_match(s, q.filter);
-      const bool want = s.entry_count > 0 && meta_ok &&
-                        (q.keep_empty_entries || shard_time_overlaps(s));
-      if (!want) {
-        ++local.shards_pruned;
-        continue;
-      }
-      for (const CorpusEntry& e : shard_rows(s)) consider(e);
+  local.shards_total = shards_.size();
+  for (const Shard& s : shards_) {
+    if (!shard_may_match(s, q.filter) || !(q.keep_empty_entries || shard_time_overlaps(s))) {
+      ++local.shards_pruned;
+      continue;
     }
-  } else {
-    for (const CorpusEntry& e : entries()) consider(e);
+    for (const CorpusEntry& e : shard_rows(s)) consider(e);
   }
 
   struct SliceResult {

@@ -1,20 +1,18 @@
 // Directory-level trace corpus: many .ltt files plus a manifest index.
 //
 // The manifest mirrors each trace's metadata — app code, label, operator,
-// day, seed, cell, session start, record/byte counts and (v2 rows) the
-// trace's time range — so experiments filter and schedule loads WITHOUT
-// decoding any trace file. This is the capture-once/replay-many layer:
+// day, seed, cell, session start, record/byte counts and the trace's time
+// range — so experiments filter and schedule loads WITHOUT decoding any
+// trace file. This is the capture-once/replay-many layer:
 // `attacks::` spills collected sessions here and the pipeline replays them
 // bit-identically instead of re-running the radio simulation.
 //
-// Layouts (all readable by Corpus::open, distinguished by header row):
-//  - flat v1: manifest.csv, 11 columns per row (legacy, no time range);
-//  - flat v2: manifest.csv, 13 columns (adds t0_ms/t1_ms);
-//  - sharded: manifest.csv is a SHARD INDEX — one summary row per shard
-//    file (manifest_NNNN.csv, v2 columns) carrying entry/record/byte
-//    counts, day and time ranges, and operator/app bitmasks. A corpus
-//    spanning thousands of files then filters whole shards by summary
-//    before a single shard file is parsed, and shards load lazily.
+// Layout: manifest.csv is a SHARD INDEX — one summary row per shard file
+// (manifest_NNNN.csv, one row per trace) carrying entry/record/byte counts,
+// day and time ranges, and operator/app bitmasks. A corpus spanning
+// thousands of files then filters whole shards by summary before a single
+// shard file is parsed, and shards load lazily. File names in either
+// manifest must be bare names inside the corpus directory.
 //
 // range_scan() composes shard pruning, per-entry time/metadata pruning and
 // MappedReader's chunk-directory pruning: a narrow time×RNTI slice of a
@@ -41,12 +39,9 @@ struct CorpusEntry {
   TraceMeta meta;
   std::size_t records = 0;
   std::size_t bytes = 0;     // encoded size of the trace file
-  // v2 rows: record time range of the trace (both 0 when records == 0).
-  // Rows read from a legacy 11-column manifest leave has_time_range false
-  // and are never pruned by time.
+  // Record time range of the trace (both 0 when records == 0).
   TimeMs t0_ms = 0;
   TimeMs t1_ms = 0;
-  bool has_time_range = false;
 };
 
 /// Metadata predicate for filtered loading. Unset fields match anything.
@@ -63,11 +58,9 @@ struct CorpusFilter {
 };
 
 struct CorpusOptions {
-  /// Options for each trace file written (format version, compression,
-  /// chunking) — the corpus layer is version-agnostic.
+  /// Options for each trace file written (compression, chunking).
   WriterOptions trace;
-  /// 0 writes one flat manifest; N > 0 writes shard files of up to N
-  /// entries each plus a shard-index manifest.
+  /// Entries per shard file; 0 writes one shard holding every entry.
   std::size_t entries_per_shard = 0;
 };
 
@@ -85,7 +78,7 @@ class CorpusWriter {
   /// Writes one trace file and records its manifest row.
   const CorpusEntry& add(const TraceMeta& meta, const sniffer::Trace& trace);
 
-  /// Writes the manifest (and shard files, when sharding). Idempotent.
+  /// Writes the shard files and the shard index. Idempotent.
   void finish();
 
   const std::vector<CorpusEntry>& entries() const { return entries_; }
@@ -128,25 +121,23 @@ class Corpus {
   /// True when `directory` holds a corpus manifest.
   static bool exists(const std::string& directory);
 
-  /// Parses the manifest (shard index rows only, for a sharded corpus);
-  /// throws TraceStoreError when absent or malformed.
+  /// Parses the shard index (shard files load lazily); throws
+  /// TraceStoreError when absent or malformed.
   static Corpus open(const std::string& directory);
 
   const std::string& directory() const { return directory_; }
 
-  /// All manifest rows in seq order. For a sharded corpus this forces
-  /// every shard file to load (lazily, cached). Not thread-safe against
-  /// concurrent lazy loads — call from one thread, like open().
+  /// All manifest rows in seq order. This forces every shard file to load
+  /// (lazily, cached). Not thread-safe against concurrent lazy loads —
+  /// call from one thread, like open().
   const std::vector<CorpusEntry>& entries() const;
 
   /// Entries matching `filter`, in seq order — metadata only, no trace
-  /// decoding. Sharded corpora skip whole shards whose summary cannot
-  /// match before parsing them.
+  /// decoding. Shards whose summary cannot match are skipped unparsed.
   std::vector<CorpusEntry> select(const CorpusFilter& filter) const;
 
-  /// Decodes one entry's trace file (either format version, memory-mapped),
-  /// verifying framing and that the file's embedded metadata matches the
-  /// manifest row.
+  /// Decodes one entry's trace file (memory-mapped), verifying framing and
+  /// that the file's embedded metadata matches the manifest row.
   sniffer::Trace load(const CorpusEntry& entry) const;
 
   /// One decoded trace paired with its manifest entry.
@@ -163,7 +154,7 @@ class Corpus {
 
   /// Records with time in [q.t0, q.t1] (and matching q.rnti / q.filter),
   /// grouped per entry in seq order. Prunes shards by summary, entries by
-  /// manifest time range, and chunks by each file's v2 directory; files
+  /// manifest time range, and chunks by each file's directory; files
   /// decode concurrently like load_all. Entries whose slice is empty are
   /// dropped unless q.keep_empty_entries.
   std::vector<LoadedTrace> range_scan(const RangeQuery& q, RangeScanStats* stats = nullptr) const;
@@ -174,9 +165,8 @@ class Corpus {
 
  private:
   std::string directory_;
-  bool sharded_ = false;
-  std::vector<Shard> shards_;                  // sharded layout only
-  mutable std::vector<CorpusEntry> entries_;   // flat rows, or merged cache
+  std::vector<Shard> shards_;
+  mutable std::vector<CorpusEntry> entries_;   // merged cache of every shard
   mutable bool entries_complete_ = false;
 
   const std::vector<CorpusEntry>& shard_rows(const Shard& shard) const;

@@ -1,39 +1,36 @@
 // Binary DCI trace format ("LTT" files) — the capture-once/replay-many
 // substrate for every experiment in the repo.
 //
-// Version 1 is a 5-byte header followed by CRC-framed chunks:
-//
-//   file   := magic "LTT1" | version u8 | chunk*
-//   chunk  := kind u8 | payload_len varint | payload | crc16(payload) LE
-//
-// Chunk kinds: 'M' metadata (exactly once, first), 'R' records (0+),
-// 'E' end-of-trace (exactly once, last; payload = total record count).
-// The CRC-16 is the same CCITT polynomial the PDCCH attaches to DCIs
-// (`lte::crc16`) — fitting, since the payloads are decoded DCIs.
-//
-// Version 2 keeps the chunk grammar but makes every record chunk
-// independently decodable and appends a seekable footer, so a reader can
-// memory-map the file and decode only the chunks a query touches:
-//
-//   file   := magic "LTT1" | version u8 = 2 | flags u8
-//             | 'M' chunk | ('R' | 'Z' chunk)* | 'E' chunk
-//             | 'D' chunk | trailer
+//   file    := magic "LTT1" | version u8 = 2 | flags u8
+//              | 'M' chunk | ('R' | 'Z' chunk)* | 'E' chunk
+//              | 'D' chunk | trailer
+//   chunk   := kind u8 | payload_len varint | payload | crc16(payload) LE
 //   trailer := dir_offset u64 LE | crc16(dir_offset bytes) LE | "LTTX"
 //
-// v2 record chunks reset the delta/dictionary coder state at each chunk
-// boundary (self-contained chunks — the price of O(1) seek is a slightly
-// larger dictionary re-learn cost per chunk). 'Z' chunks are
-// block-compressed 'R' payloads (see block.hpp), emitted only when the
-// compressor actually wins for that chunk; bit 0 of the header flags says
-// the file may contain them. The 'D' (directory) chunk stores one entry
-// per record chunk — byte offset, payload size, record count, time range,
-// 64-bit RNTI bloom — which is what gives O(log chunks) seek by time and
-// RNTI without touching non-matching chunks.
+// 'M' is the metadata chunk, 'R' a records chunk, 'E' the end chunk
+// (payload = total record count). The CRC-16 is the same CCITT polynomial
+// the PDCCH attaches to DCIs (`lte::crc16`) — fitting, since the payloads
+// are decoded DCIs.
+//
+// Every record chunk resets the delta/dictionary coder state, so it decodes
+// on its own (the price of O(1) seek is a slightly larger dictionary
+// re-learn cost per chunk). 'Z' chunks are block-compressed 'R' payloads
+// (see block.hpp), emitted only when the compressor actually wins for that
+// chunk; bit 0 of the header flags says the file may contain them. The 'D'
+// (directory) chunk stores one entry per record chunk — byte offset,
+// payload size, record count, time range, 64-bit RNTI bloom — which is
+// what gives O(log chunks) seek by time and RNTI without touching
+// non-matching chunks.
+//
+// Records are time-ordered: the writer refuses a record older than its
+// predecessor, and a reader rejects a directory whose chunk ranges overlap
+// backwards or a chunk whose records go back in time.
 //
 // Records are delta/dictionary compressed (see writer.hpp); integers use
-// LEB128 varints with zigzag for signed values. A missing 'E' chunk means
-// the file was truncated mid-capture; a CRC mismatch means corruption.
-// Readers must reject both with a diagnostic, never a partial trace.
+// LEB128 varints with zigzag for signed values. A missing trailer or 'E'
+// chunk means the file was truncated mid-capture; a CRC mismatch means
+// corruption. Readers must reject both with a diagnostic, never a partial
+// trace.
 #pragma once
 
 #include <cstdint>
@@ -48,29 +45,29 @@ namespace ltefp::tracestore {
 
 /// File magic: "LTT1" (LTefp Trace, family 1).
 inline constexpr char kMagic[4] = {'L', 'T', 'T', '1'};
-inline constexpr std::uint8_t kFormatVersion = 1;
+/// The only on-disk format version; any other version byte is rejected.
 inline constexpr std::uint8_t kFormatVersionV2 = 2;
 
 /// Chunk kinds.
 inline constexpr std::uint8_t kChunkMeta = 'M';
 inline constexpr std::uint8_t kChunkRecords = 'R';
 inline constexpr std::uint8_t kChunkEnd = 'E';
-inline constexpr std::uint8_t kChunkCompressed = 'Z';  // v2 only
-inline constexpr std::uint8_t kChunkDirectory = 'D';   // v2 only
+inline constexpr std::uint8_t kChunkCompressed = 'Z';
+inline constexpr std::uint8_t kChunkDirectory = 'D';
 
-/// v2 header flag bits. Any other set bit is a format the reader does not
+/// Header flag bits. Any other set bit is a format the reader does not
 /// understand and must reject (forward compatibility by refusal, like the
 /// version byte).
 inline constexpr std::uint8_t kFlagCompressed = 0x01;
 inline constexpr std::uint8_t kKnownV2Flags = kFlagCompressed;
 
-/// v2 trailer: fixed 14 bytes at the very end of the file. The directory
+/// Trailer: fixed 14 bytes at the very end of the file. The directory
 /// offset is CRC-guarded so a flipped trailer byte is caught directly
 /// instead of sending the reader to a random in-file position.
 inline constexpr char kTrailerMagic[4] = {'L', 'T', 'T', 'X'};
 inline constexpr std::size_t kTrailerSize = 8 + 2 + 4;
 
-/// v2 header size: magic + version + flags.
+/// Header size: magic + version + flags.
 inline constexpr std::size_t kHeaderSizeV2 = sizeof(kMagic) + 2;
 
 /// Upper bound on a single chunk's payload, so a corrupted length varint
@@ -88,7 +85,7 @@ inline constexpr std::uint64_t kMinRecordBytes = 4;
 inline constexpr std::uint64_t kMaxRecordsPerChunk =
     kMaxChunkPayload / kMinRecordBytes;
 
-/// One v2 directory entry per record chunk. Offsets are absolute file
+/// One directory entry per record chunk. Offsets are absolute file
 /// positions of the chunk's kind byte; `payload_len` is the *stored*
 /// payload size (compressed size for 'Z' chunks), so a reader can clamp
 /// every view against the mapped length before touching chunk bytes.

@@ -1,28 +1,16 @@
 #include "tracestore/mapped_reader.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <streambuf>
 #include <utility>
 
 #include "lte/crc.hpp"
 #include "tracestore/block.hpp"
 #include "tracestore/mmap_file.hpp"
-#include "tracestore/reader.hpp"
 #include "tracestore/record_codec.hpp"
 #include "tracestore/varint.hpp"
 
 namespace ltefp::tracestore {
 namespace {
-
-/// Zero-copy istream over a byte span — the v1 streaming-fallback bridge.
-class SpanBuf : public std::streambuf {
- public:
-  explicit SpanBuf(std::span<const std::uint8_t> bytes) {
-    char* p = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
-    setg(p, p, p + bytes.size());
-  }
-};
 
 /// One CRC-verified chunk frame, borrowed from the mapped image.
 struct Frame {
@@ -52,20 +40,16 @@ struct MappedReader::Impl {
   std::span<const std::uint8_t> image;
   std::string context;
 
-  std::uint8_t version = 0;
   std::uint8_t flags = 0;
   TraceMeta meta;
   std::uint64_t declared_records = 0;
   std::vector<ChunkInfo> chunks;
-  std::size_t body_begin = 0;  // just past the metadata chunk (v2)
-  std::size_t dir_offset = 0;  // offset of the 'D' frame (v2)
-  bool time_sorted = false;    // directory monotone in time → binary search
+  std::size_t body_begin = 0;  // just past the metadata chunk
+  std::size_t dir_offset = 0;  // offset of the 'D' frame
 
   [[noreturn]] void fail(const std::string& what) const {
     throw TraceStoreError(context + ": " + what);
   }
-
-  bool is_v2() const { return version == kFormatVersionV2; }
 
   /// Parses and CRC-verifies the chunk frame at `offset`, confined to
   /// image[offset, limit). All bounds come from ByteReader, so a forged
@@ -93,30 +77,23 @@ struct MappedReader::Impl {
   }
 
   void open() {
-    if (image.size() >= kHeaderSizeV2 &&
-        std::equal(std::begin(kMagic), std::end(kMagic),
-                   reinterpret_cast<const char*>(image.data())) &&
-        image[sizeof(kMagic)] == kFormatVersionV2) {
-      version = kFormatVersionV2;
-      open_v2();
-      return;
+    if (image.size() < sizeof(kMagic) ||
+        !std::equal(std::begin(kMagic), std::end(kMagic),
+                    reinterpret_cast<const char*>(image.data()))) {
+      fail("bad magic (not an LTT trace file)");
     }
-    // v1 (or invalid): delegate header+meta validation to the streaming
-    // Reader so accept/reject behaviour matches it exactly.
-    SpanBuf buf(image);
-    std::istream in(&buf);
-    Reader reader(in);
-    meta = reader.meta();
-    version = image[sizeof(kMagic)];
-  }
-
-  void open_v2() {
+    if (image.size() < kHeaderSizeV2) fail("truncated header");
+    const std::uint8_t version = image[sizeof(kMagic)];
+    if (version != kFormatVersionV2) {
+      fail("unsupported format version " + std::to_string(version) + " (supported: " +
+           std::to_string(kFormatVersionV2) + ")");
+    }
     flags = image[sizeof(kMagic) + 1];
     if ((flags & ~kKnownV2Flags) != 0) {
       fail("unknown format flags " + std::to_string(flags));
     }
     if (image.size() < kHeaderSizeV2 + kTrailerSize) {
-      fail("truncated file (no room for the v2 trailer)");
+      fail("truncated file (no room for the trailer)");
     }
     const std::size_t trailer_at = image.size() - kTrailerSize;
 
@@ -166,7 +143,6 @@ struct MappedReader::Impl {
     std::uint64_t prev_offset = 0;
     std::uint64_t expected_offset = body_begin;
     std::uint64_t record_sum = 0;
-    time_sorted = true;
     for (std::uint64_t i = 0; i < count; ++i) {
       ChunkInfo c;
       c.offset = prev_offset + dr.get_varint();  // unsigned wrap → contiguity check fails
@@ -204,9 +180,12 @@ struct MappedReader::Impl {
       }
       c.time_max = c.time_min + static_cast<TimeMs>(span);
       c.rnti_bloom = dr.get_u64_le();
-      if (!chunks.empty() && (c.time_min < chunks.back().time_min ||
-                              c.time_max < chunks.back().time_max)) {
-        time_sorted = false;
+      // Records are time-ordered, so consecutive chunks' ranges may touch
+      // but never step back; scan()'s binary search relies on it.
+      if (!chunks.empty() && c.time_min < chunks.back().time_max) {
+        dr.fail("entry " + std::to_string(i) + ": time range starts at " +
+                std::to_string(c.time_min) + " ms, before the previous chunk ends at " +
+                std::to_string(chunks.back().time_max) + " ms");
       }
       chunks.push_back(c);
     }
@@ -265,8 +244,8 @@ struct MappedReader::Impl {
     ByteReader r(raw, context + ": " + where);
     const std::uint64_t rec_count = r.get_varint();
     if (rec_count == 0) r.fail("empty records chunk");
-    // Same clamp as the streaming Reader: the payload caps the record
-    // count before it drives the reserve() (see format.hpp).
+    // The payload caps the record count before it drives the reserve()
+    // (see format.hpp).
     if (rec_count > raw.size() / kMinRecordBytes) {
       r.fail("record count " + std::to_string(rec_count) + " exceeds chunk capacity " +
              std::to_string(raw.size() / kMinRecordBytes));
@@ -277,7 +256,7 @@ struct MappedReader::Impl {
     }
     std::vector<sniffer::TraceRecord> out;
     out.reserve(rec_count);
-    RecordDecodeState state;  // v2 chunks are self-contained
+    RecordDecodeState state;  // chunks are self-contained
     decode_records(r, state, rec_count, out);
     if (!r.at_end()) {
       r.fail(std::to_string(r.remaining()) + " trailing bytes after last record");
@@ -285,28 +264,21 @@ struct MappedReader::Impl {
 
     // The directory's seek stats must reproduce from the records: a forged
     // entry that survived pruning is still caught the moment it's decoded.
-    TimeMs tmin = out.front().time;
-    TimeMs tmax = out.front().time;
     std::uint64_t bloom = 0;
-    for (const sniffer::TraceRecord& rec : out) {
-      tmin = std::min(tmin, rec.time);
-      tmax = std::max(tmax, rec.time);
-      bloom |= rnti_bloom_mask(rec.rnti);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      if (k > 0 && out[k].time < out[k - 1].time) {
+        r.fail("record " + std::to_string(k) + " at " + std::to_string(out[k].time) +
+               " ms precedes its predecessor at " + std::to_string(out[k - 1].time) + " ms");
+      }
+      bloom |= rnti_bloom_mask(out[k].rnti);
     }
-    if (tmin != info.time_min || tmax != info.time_max) {
+    if (out.front().time != info.time_min || out.back().time != info.time_max) {
       r.fail("chunk time range disagrees with directory");
     }
     if (bloom != info.rnti_bloom) {
       r.fail("chunk RNTI bloom disagrees with directory");
     }
     return out;
-  }
-
-  sniffer::Trace read_all_v1() const {
-    SpanBuf buf(image);
-    std::istream in(&buf);
-    Reader reader(in);
-    return reader.read_all();
   }
 };
 
@@ -329,13 +301,11 @@ MappedReader::MappedReader(MappedReader&&) noexcept = default;
 MappedReader& MappedReader::operator=(MappedReader&&) noexcept = default;
 
 const TraceMeta& MappedReader::meta() const { return impl_->meta; }
-std::uint8_t MappedReader::version() const { return impl_->version; }
 bool MappedReader::compressed() const { return (impl_->flags & kFlagCompressed) != 0; }
 std::uint64_t MappedReader::declared_records() const { return impl_->declared_records; }
 const std::vector<ChunkInfo>& MappedReader::chunks() const { return impl_->chunks; }
 
 sniffer::Trace MappedReader::read_all() const {
-  if (!impl_->is_v2()) return impl_->read_all_v1();
   sniffer::Trace trace;
   for (std::size_t i = 0; i < impl_->chunks.size(); ++i) {
     const std::vector<sniffer::TraceRecord> recs = impl_->decode_chunk(i);
@@ -352,37 +322,21 @@ sniffer::Trace MappedReader::scan(TimeMs t0, TimeMs t1, std::optional<lte::Rnti>
     return rec.time >= t0 && rec.time <= t1 && (!rnti.has_value() || rec.rnti == *rnti);
   };
 
-  if (!impl_->is_v2()) {
-    // v1 has no directory: decode everything, filter after the fact.
-    for (const sniffer::TraceRecord& rec : impl_->read_all_v1()) {
-      if (keep(rec)) out.push_back(rec);
-    }
-    local.records_out = out.size();
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-
   const std::vector<ChunkInfo>& chunks = impl_->chunks;
   local.chunks_total = chunks.size();
-  std::size_t begin = 0;
-  if (impl_->time_sorted) {
-    // Directory is monotone in time: binary-search the first chunk that
-    // can intersect [t0, t1], and stop at the first one past it.
-    begin = static_cast<std::size_t>(
-        std::lower_bound(chunks.begin(), chunks.end(), t0,
-                         [](const ChunkInfo& c, TimeMs t) { return c.time_max < t; }) -
-        chunks.begin());
-    local.chunks_skipped_time += begin;
-  }
+  // The directory is time-ordered (checked at open): binary-search the
+  // first chunk that can intersect [t0, t1], and stop at the first one
+  // past it.
+  const std::size_t begin = static_cast<std::size_t>(
+      std::lower_bound(chunks.begin(), chunks.end(), t0,
+                       [](const ChunkInfo& c, TimeMs t) { return c.time_max < t; }) -
+      chunks.begin());
+  local.chunks_skipped_time += begin;
   for (std::size_t i = begin; i < chunks.size(); ++i) {
     const ChunkInfo& c = chunks[i];
-    if (impl_->time_sorted && c.time_min > t1) {
+    if (c.time_min > t1) {
       local.chunks_skipped_time += chunks.size() - i;
       break;
-    }
-    if (c.time_max < t0 || c.time_min > t1) {
-      ++local.chunks_skipped_time;
-      continue;
     }
     if (rnti.has_value() && !rnti_bloom_may_contain(c.rnti_bloom, *rnti)) {
       ++local.chunks_skipped_rnti;
@@ -399,15 +353,10 @@ sniffer::Trace MappedReader::scan(TimeMs t0, TimeMs t1, std::optional<lte::Rnti>
 }
 
 struct MappedReader::Cursor::State {
-  // v2: lazy per-chunk decode.
   const Impl* impl = nullptr;
   std::size_t chunk_index = 0;
   std::vector<sniffer::TraceRecord> pending;
   std::size_t pending_pos = 0;
-  // v1: streaming fallback over the mapped image.
-  std::unique_ptr<SpanBuf> buf;
-  std::unique_ptr<std::istream> stream;
-  std::unique_ptr<Reader> reader;
 };
 
 MappedReader::Cursor::Cursor(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -417,7 +366,6 @@ MappedReader::Cursor& MappedReader::Cursor::operator=(Cursor&&) noexcept = defau
 
 bool MappedReader::Cursor::next(sniffer::TraceRecord& record) {
   State& st = *state_;
-  if (st.reader != nullptr) return st.reader->next(record);
   while (st.pending_pos >= st.pending.size()) {
     if (st.chunk_index >= st.impl->chunks.size()) return false;
     st.pending = st.impl->decode_chunk(st.chunk_index++);
@@ -429,13 +377,7 @@ bool MappedReader::Cursor::next(sniffer::TraceRecord& record) {
 
 MappedReader::Cursor MappedReader::cursor() const {
   auto state = std::make_unique<Cursor::State>();
-  if (impl_->is_v2()) {
-    state->impl = impl_.get();
-  } else {
-    state->buf = std::make_unique<SpanBuf>(impl_->image);
-    state->stream = std::make_unique<std::istream>(state->buf.get());
-    state->reader = std::make_unique<Reader>(*state->stream);
-  }
+  state->impl = impl_.get();
   return Cursor(std::move(state));
 }
 

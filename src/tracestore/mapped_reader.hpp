@@ -1,31 +1,31 @@
 // Zero-copy trace reader over a memory-mapped .ltt image.
 //
-// v2 files carry a chunk directory (see format.hpp): at open, MappedReader
+// Files carry a chunk directory (see format.hpp): at open, MappedReader
 // validates ONLY the header, metadata chunk, trailer, directory frame and
 // end chunk — O(directory), never the record payloads. Record chunks are
 // decoded lazily, one at a time, straight out of the mapping:
 //
 //   - scan(t0, t1, rnti) prunes by the directory's per-chunk time range
-//     and RNTI bloom before touching a chunk's pages; when the directory
-//     is time-sorted (the common case — writers see near-monotone
-//     timestamps) the first candidate is found by binary search, so a
-//     narrow slice of a large file costs O(log chunks + matching chunks).
+//     and RNTI bloom before touching a chunk's pages; the directory is
+//     time-ordered (checked at open), so the first candidate is found by
+//     binary search and a narrow slice of a large file costs
+//     O(log chunks + matching chunks).
 //   - cursor() streams chunk by chunk in O(one chunk) memory, which is
 //     what ReplaySource's k-way merge wants.
 //   - read_all() decodes everything and additionally cross-checks every
 //     directory entry (record count, time range, RNTI bloom) against the
 //     decoded records — the strict whole-file integrity mode.
 //
-// v1 files have no directory; MappedReader transparently falls back to the
-// streaming Reader over an in-memory stream, so the accept/reject behaviour
-// on v1 inputs is the streaming path's, bit for bit.
+// A version byte other than kFormatVersionV2 is rejected at open.
 //
 // Hardening: the directory is attacker-controlled like any other input.
 // Every offset and length read from it is clamped against the mapped
 // length BEFORE a span is formed, chunk frames re-verify kind/length/CRC
 // at decode time against the directory's claims, and decoded chunk stats
-// must reproduce the directory entry exactly. A forged directory yields a
-// TraceStoreError, never an out-of-range read.
+// must reproduce the directory entry exactly. A directory whose chunk time
+// ranges step backwards is rejected at open, and a chunk whose records go
+// back in time at decode. A forged directory yields a TraceStoreError,
+// never an out-of-range read.
 //
 // Lifetime: a MappedReader borrows nothing from callers (it owns its
 // MappedFile) except when constructed over a caller-provided span; decoded
@@ -71,23 +71,20 @@ class MappedReader {
   MappedReader& operator=(const MappedReader&) = delete;
 
   const TraceMeta& meta() const;
-  /// On-disk format version (kFormatVersion or kFormatVersionV2).
-  std::uint8_t version() const;
-  /// v2: file was written with the compression flag set.
+  /// File was written with the compression flag set.
   bool compressed() const;
-  /// v2: record count declared by the end chunk. 0 for v1 files — the
-  /// streaming fallback only learns the count after a full decode.
+  /// Record count declared by the end chunk.
   std::uint64_t declared_records() const;
-  /// v2 chunk directory (empty for v1 files).
+  /// The chunk directory, one entry per record chunk.
   const std::vector<ChunkInfo>& chunks() const;
 
-  /// Full strict decode. On v1 this is exactly Reader::read_all(); on v2 it
-  /// also verifies every directory entry against the decoded records.
+  /// Full strict decode: every chunk, each verified against its directory
+  /// entry.
   sniffer::Trace read_all() const;
 
   /// Records with time in [t0, t1] (and matching `rnti`, when given), in
-  /// file order. v2 prunes chunks via the directory; v1 decodes everything
-  /// and filters. `stats`, when non-null, reports the pruning achieved.
+  /// file order. Chunks are pruned via the directory; `stats`, when
+  /// non-null, reports the pruning achieved.
   sniffer::Trace scan(TimeMs t0, TimeMs t1, std::optional<lte::Rnti> rnti = std::nullopt,
                       ScanStats* stats = nullptr) const;
 
@@ -102,7 +99,7 @@ class MappedReader {
     Cursor& operator=(const Cursor&) = delete;
 
     /// Yields the next record; false at a clean end of trace. Throws
-    /// TraceStoreError on any integrity problem, like Reader::next.
+    /// TraceStoreError on any integrity problem.
     bool next(sniffer::TraceRecord& record);
 
    private:

@@ -1,10 +1,8 @@
-// The record-level codec shared by every .ltt reader and writer.
+// The record-level codec of the .ltt format.
 //
-// One encoder and ONE decoder implementation back the streaming Reader,
-// the streaming Writer, and the v2 memory-mapped path — the bit-identity
-// contract between them ("MappedReader decodes exactly what Reader
-// decodes") is pinned by construction here, then re-pinned by oracle
-// tests over random traces.
+// One encoder and one decoder implementation: Writer encodes with it and
+// MappedReader decodes with it, so the two agree by construction (pinned
+// again by round-trip tests over random traces).
 //
 // Per record (see writer.hpp for the rationale):
 //   time  := zigzag varint delta vs the previous record
@@ -13,8 +11,8 @@
 //   tb/dir:= varint of (zigzag(tb_bytes) << 1) | direction
 //   cell  := zigzag varint delta vs the previous record's cell
 //
-// v1 threads one codec state across all chunks of a file; v2 resets the
-// state at every chunk boundary so chunks decode independently (seekable).
+// The state resets at every chunk boundary so chunks decode independently
+// (seekable).
 #pragma once
 
 #include <cstdint>
@@ -49,7 +47,7 @@ void encode_record(ByteWriter& out, RecordEncodeState& state, const sniffer::Tra
 ByteWriter encode_meta(const TraceMeta& meta);
 
 /// Decodes and validates a metadata chunk payload (including the
-/// trailing-bytes check). Shared by Reader and MappedReader.
+/// trailing-bytes check).
 TraceMeta decode_meta(ByteReader& r);
 
 /// Decodes `count` records from `r`, appending to `out` and advancing

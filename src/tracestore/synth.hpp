@@ -29,8 +29,8 @@ struct SynthOptions {
   std::size_t hours = 24;           // capture windows starting at hour 0
   std::size_t ues_per_cell = 8;
   double sessions_per_ue_hour = 2.0;  // mean, scaled by the diurnal curve
-  /// Options for the corpus written (trace format version, compression,
-  /// manifest sharding).
+  /// Options for the corpus written (compression, chunking, manifest
+  /// sharding).
   CorpusOptions corpus;
 };
 

@@ -1,7 +1,7 @@
 #include "tracestore/writer.hpp"
 
-#include <algorithm>
 #include <ostream>
+#include <string>
 
 #include "lte/crc.hpp"
 #include "tracestore/block.hpp"
@@ -23,34 +23,32 @@ std::size_t varint_size(std::uint64_t v) {
 Writer::Writer(std::ostream& out, const TraceMeta& meta, WriterOptions options)
     : out_(out), options_(options) {
   if (options_.records_per_chunk == 0) options_.records_per_chunk = 1;
-  if (options_.version != kFormatVersion && options_.version != kFormatVersionV2) {
+  if (options_.version != kFormatVersionV2) {
     throw TraceStoreError("Writer: unsupported format version " +
-                          std::to_string(options_.version));
-  }
-  if (options_.compress && options_.version != kFormatVersionV2) {
-    throw TraceStoreError("Writer: block compression requires format version 2");
+                          std::to_string(options_.version) + " (supported: " +
+                          std::to_string(kFormatVersionV2) + ")");
   }
   out_.write(kMagic, sizeof(kMagic));
-  out_.put(static_cast<char>(options_.version));
-  bytes_written_ += sizeof(kMagic) + 1;
-  if (options_.version == kFormatVersionV2) {
-    // Flags byte: readers reject files whose flags they don't know.
-    out_.put(static_cast<char>(options_.compress ? kFlagCompressed : 0));
-    ++bytes_written_;
-  }
+  out_.put(static_cast<char>(kFormatVersionV2));
+  // Flags byte: readers reject files whose flags they don't know.
+  out_.put(static_cast<char>(options_.compress ? kFlagCompressed : 0));
+  bytes_written_ += kHeaderSizeV2;
   write_chunk(kChunkMeta, encode_meta(meta));
 }
 
 void Writer::add(const sniffer::TraceRecord& record) {
   if (closed_) throw TraceStoreError("Writer::add: writer already closed");
+  if (total_records_ > 0 && record.time < last_time_) {
+    throw TraceStoreError("Writer::add: record " + std::to_string(total_records_) + " at " +
+                          std::to_string(record.time) + " ms precedes its predecessor at " +
+                          std::to_string(last_time_) + " ms (traces must be time-ordered)");
+  }
+  last_time_ = record.time;
   if (chunk_records_ == 0) {
     chunk_time_min_ = record.time;
-    chunk_time_max_ = record.time;
     chunk_bloom_ = 0;
-  } else {
-    chunk_time_min_ = std::min(chunk_time_min_, record.time);
-    chunk_time_max_ = std::max(chunk_time_max_, record.time);
   }
+  chunk_time_max_ = record.time;
   chunk_bloom_ |= rnti_bloom_mask(record.rnti);
   encode_record(chunk_, state_, record);
   ++chunk_records_;
@@ -77,21 +75,17 @@ void Writer::flush_chunk() {
     }
   }
   const ByteWriter& framed = (kind == kChunkCompressed) ? stored : payload;
-  const std::size_t offset = write_chunk(kind, framed);
-
-  if (options_.version == kFormatVersionV2) {
-    ChunkInfo info;
-    info.offset = offset;
-    info.payload_len = framed.size();
-    info.records = chunk_records_;
-    info.time_min = chunk_time_min_;
-    info.time_max = chunk_time_max_;
-    info.rnti_bloom = chunk_bloom_;
-    chunks_.push_back(info);
-    // v2 chunks are self-contained: the next chunk restarts deltas and the
-    // RNTI dictionary from scratch so MappedReader can decode it alone.
-    state_ = RecordEncodeState{};
-  }
+  ChunkInfo info;
+  info.offset = write_chunk(kind, framed);
+  info.payload_len = framed.size();
+  info.records = chunk_records_;
+  info.time_min = chunk_time_min_;
+  info.time_max = chunk_time_max_;
+  info.rnti_bloom = chunk_bloom_;
+  chunks_.push_back(info);
+  // Chunks are self-contained: the next chunk restarts deltas and the RNTI
+  // dictionary from scratch so MappedReader can decode it alone.
+  state_ = RecordEncodeState{};
 
   chunk_.clear();
   chunk_records_ = 0;
@@ -103,7 +97,7 @@ void Writer::close() {
   ByteWriter end;
   end.put_varint(total_records_);
   write_chunk(kChunkEnd, end);
-  if (options_.version == kFormatVersionV2) write_directory();
+  write_directory();
   closed_ = true;
   out_.flush();
 }

@@ -1,22 +1,18 @@
-// Streaming binary trace writer (.ltt v1 and v2).
+// Streaming binary trace writer (.ltt, format v2 — see format.hpp).
 //
 // Record compression, chosen for the shape of DCI traces:
-//  - timestamps are near-monotone → zigzag delta vs the previous record;
-//  - one victim uses a handful of RNTIs → per-trace dictionary, indices
+//  - timestamps are non-decreasing → small zigzag delta vs the previous record;
+//  - one victim uses a handful of RNTIs → per-chunk dictionary, indices
 //    instead of 16-bit values (a new RNTI is appended inline on first use);
 //  - the cell rarely changes → zigzag delta vs the previous record's cell;
 //  - TBS and direction share one varint: (zigzag(tb_bytes) << 1) | dir.
 //
-// v1: dictionary and delta state persist across chunks; chunks exist only
-// for framing/CRC granularity, so a flipped bit is localised to one chunk's
-// diagnostic instead of poisoning the whole file.
-//
-// v2: the codec state RESETS at every chunk boundary, making each chunk
+// The codec state RESETS at every chunk boundary, making each chunk
 // self-contained, and close() appends a chunk directory ('D') plus a fixed
 // trailer so MappedReader can seek straight to any chunk by time or RNTI
-// without decoding its predecessors (see format.hpp for the grammar).
-// With `compress` set, each record chunk is additionally run through the
-// block compressor and stored as a 'Z' chunk when that measurably wins.
+// without decoding its predecessors. With `compress` set, each record
+// chunk is additionally run through the block compressor and stored as a
+// 'Z' chunk when that measurably wins.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +29,11 @@ namespace ltefp::tracestore {
 struct WriterOptions {
   /// Records buffered per 'R' chunk before it is framed and flushed.
   std::size_t records_per_chunk = 4096;
-  /// On-disk format: kFormatVersion (1, the default) or kFormatVersionV2.
-  std::uint8_t version = kFormatVersion;
-  /// v2 only: try block compression per chunk, keep it when it shrinks the
-  /// stored payload. Rejected (throws) when combined with version 1.
+  /// On-disk format version. kFormatVersionV2 is the only one; Writer
+  /// throws on any other value.
+  std::uint8_t version = kFormatVersionV2;
+  /// Try block compression per chunk, keep it when it shrinks the stored
+  /// payload.
   bool compress = false;
 };
 
@@ -52,17 +49,18 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
+  /// Throws TraceStoreError when `record.time` is below the previous
+  /// record's time: traces are stored time-ordered.
   void add(const sniffer::TraceRecord& record);
 
-  /// Flushes buffered records and writes the 'E' chunk — plus, for v2, the
-  /// chunk directory and trailer. Idempotent.
+  /// Flushes buffered records and writes the 'E' chunk, the chunk
+  /// directory and the trailer. Idempotent.
   void close();
 
   std::size_t records_written() const { return total_records_; }
   /// Bytes emitted so far (header + framed chunks).
   std::size_t bytes_written() const { return bytes_written_; }
-  /// v2: directory entries accumulated so far (one per flushed record
-  /// chunk). Empty for v1.
+  /// Directory entries accumulated so far (one per flushed record chunk).
   const std::vector<ChunkInfo>& chunk_infos() const { return chunks_; }
 
  private:
@@ -79,10 +77,13 @@ class Writer {
   std::size_t bytes_written_ = 0;
   bool closed_ = false;
 
-  // Compression state (cross-chunk for v1, reset per chunk for v2).
+  // Compression state, reset at every chunk boundary.
   RecordEncodeState state_;
 
-  // v2 per-chunk directory stats, accumulated in add().
+  // Time of the last record added (the ordering check's reference).
+  TimeMs last_time_ = 0;
+
+  // Per-chunk directory stats, accumulated in add().
   TimeMs chunk_time_min_ = 0;
   TimeMs chunk_time_max_ = 0;
   std::uint64_t chunk_bloom_ = 0;

@@ -17,6 +17,13 @@ struct DciCase {
   bool ndi;
 };
 
+// Names the case by its fields: gtest's default printer dumps the raw
+// object bytes, padding included, which differ from build to build.
+void PrintTo(const DciCase& c, std::ostream* os) {
+  *os << (c.direction == Direction::kUplink ? "UL" : "DL") << "_rnti" << c.rnti << "_mcs"
+      << int{c.mcs} << "_nprb" << int{c.nprb} << "_harq" << int{c.harq} << "_ndi" << c.ndi;
+}
+
 class DciRoundTrip : public ::testing::TestWithParam<DciCase> {};
 
 TEST_P(DciRoundTrip, EncodeDecodeRecovers) {

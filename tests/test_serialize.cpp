@@ -70,6 +70,17 @@ TEST(ForestSerialization, MalformedInputsThrow) {
   }
 }
 
+TEST(ForestSerialization, OversizedHeaderCountsThrowBeforeAllocating) {
+  // Each count would size a multi-gigabyte reservation if trusted; the
+  // loader must refuse it with a diagnostic, never std::bad_alloc.
+  for (const char* text : {"ltefp-rf v1\ntrees 2000000000 classes 2\n",
+                           "ltefp-rf v1\ntrees 1 classes 2000000000\ntree 1\nleaf 1\n",
+                           "ltefp-rf v1\ntrees 1 classes 2\ntree 2000000000\nleaf 1 0\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(load_forest(in), std::runtime_error) << text;
+  }
+}
+
 TEST(ForestSerialization, HandCraftedStumpWorks) {
   std::stringstream in(
       "ltefp-rf v1\n"
@@ -99,6 +110,14 @@ TEST(StandardizerSerialization, UnfittedRefusesToSave) {
   features::Standardizer empty;
   std::stringstream buffer;
   EXPECT_THROW(save_standardizer(buffer, empty), std::logic_error);
+}
+
+TEST(StandardizerSerialization, OversizedDimsThrowBeforeAllocating) {
+  for (const char* text : {"ltefp-std v1 18446744073709551615\n", "ltefp-std v1 23\n",
+                           "ltefp-std v1 0\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(load_standardizer(in), std::runtime_error) << text;
+  }
 }
 
 TEST(StandardizerSerialization, FromParamsValidation) {

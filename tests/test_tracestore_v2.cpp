@@ -1,9 +1,9 @@
-// Tracestore v2: memory-mapped readers, chunk directories, block
-// compression, sharded corpora, range scans and the synth generator.
+// Tracestore: memory-mapped readers, chunk directories, block compression,
+// sharded corpora, range scans and the synth generator.
 //
 // The load-bearing contracts pinned here:
-//  - bit-identity: MappedReader decodes exactly what the streaming Reader
-//    decodes, on v1 and v2 files, at any thread count;
+//  - round trip: MappedReader (read_all, cursor) decodes exactly the
+//    records the Writer was given, plain or compressed;
 //  - hardening: every single-byte flip, truncation and forged-directory
 //    image is rejected with a TraceStoreError, never an OOB read or a
 //    giant allocation;
@@ -29,7 +29,6 @@
 #include "tracestore/corpus.hpp"
 #include "tracestore/mapped_reader.hpp"
 #include "tracestore/mmap_file.hpp"
-#include "tracestore/reader.hpp"
 #include "tracestore/record_codec.hpp"
 #include "tracestore/synth.hpp"
 #include "tracestore/varint.hpp"
@@ -60,7 +59,8 @@ sniffer::Trace sample_trace() {
   };
 }
 
-// Same shapes as test_tracestore.cpp: empty, random, >24h, non-monotone.
+// Same shapes as test_tracestore.cpp: empty, random, >24h, non-monotone
+// (which the writer refuses).
 sniffer::Trace random_trace(Rng& rng, int shape) {
   sniffer::Trace trace;
   const std::size_t n = (shape == 0) ? 0 : static_cast<std::size_t>(rng.uniform_int(1, 400));
@@ -93,11 +93,6 @@ std::span<const std::uint8_t> as_span(const std::string& image) {
 
 sniffer::Trace mapped_read_all(const std::string& image) {
   return MappedReader(as_span(image)).read_all();
-}
-
-sniffer::Trace stream_read_all(const std::string& image) {
-  std::istringstream in(image);
-  return read_trace(in);
 }
 
 sniffer::Trace brute_filter(const sniffer::Trace& trace, TimeMs t0, TimeMs t1,
@@ -222,15 +217,13 @@ std::string build_v2(const TraceMeta& meta, const std::vector<sniffer::Trace>& c
   return image;
 }
 
-// --- Round trips and v1/v2 bit-identity. ---
+// --- Round trips. ---
 
 TEST(MappedV2, PlainRoundTripPreservesMetaAndRecords) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.records_per_chunk = 2;
   const std::string image = encode(sample_meta(), sample_trace(), opts);
   const MappedReader reader(as_span(image));
-  EXPECT_EQ(reader.version(), kFormatVersionV2);
   EXPECT_FALSE(reader.compressed());
   EXPECT_EQ(reader.meta(), sample_meta());
   EXPECT_EQ(reader.declared_records(), sample_trace().size());
@@ -239,9 +232,7 @@ TEST(MappedV2, PlainRoundTripPreservesMetaAndRecords) {
 }
 
 TEST(MappedV2, EmptyTraceRoundTrips) {
-  WriterOptions opts;
-  opts.version = kFormatVersionV2;
-  const std::string image = encode(sample_meta(), {}, opts);
+  const std::string image = encode(sample_meta(), {});
   const MappedReader reader(as_span(image));
   EXPECT_TRUE(reader.chunks().empty());
   EXPECT_TRUE(reader.read_all().empty());
@@ -249,7 +240,6 @@ TEST(MappedV2, EmptyTraceRoundTrips) {
 
 TEST(MappedV2, CompressedRoundTrip) {
   WriterOptions plain;
-  plain.version = kFormatVersionV2;
   WriterOptions zipped = plain;
   zipped.compress = true;
   const sniffer::Trace trace = compressible_trace(3'000);
@@ -269,7 +259,6 @@ TEST(MappedV2, HandBuiltImageMatchesWriterByteForByte) {
   // prove nothing: the honest build is byte-identical to Writer output.
   const sniffer::Trace trace = sample_trace();
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.records_per_chunk = 2;
   const std::string from_writer = encode(sample_meta(), trace, opts);
   const std::vector<sniffer::Trace> chunks = {
@@ -278,40 +267,38 @@ TEST(MappedV2, HandBuiltImageMatchesWriterByteForByte) {
 }
 
 TEST(MappedV2Property, MappedAndStreamingDecodesAgreeOnBothVersions) {
+  // Plain and compressed images, read whole and through a cursor, must
+  // reproduce the writer's input exactly; unordered input never reaches
+  // a file.
   Rng rng(77);
   for (int iter = 0; iter < 40; ++iter) {
     const int shape = iter % 5;
     const sniffer::Trace trace = random_trace(rng, shape);
     TraceMeta meta = sample_meta();
     meta.session_start = trace.empty() ? 0 : trace.front().time;
-    WriterOptions v1;
-    v1.records_per_chunk = static_cast<std::size_t>(rng.uniform_int(1, 64));
-    WriterOptions v2 = v1;
-    v2.version = kFormatVersionV2;
-    WriterOptions v2z = v2;
-    v2z.compress = true;
+    WriterOptions plain;
+    plain.records_per_chunk = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    WriterOptions zipped = plain;
+    zipped.compress = true;
 
-    const std::string image_v1 = encode(meta, trace, v1);
-    const std::string image_v2 = encode(meta, trace, v2);
-    const std::string image_v2z = encode(meta, trace, v2z);
+    if (shape == 4 && trace.size() > 2) {
+      EXPECT_THROW(encode(meta, trace, plain), TraceStoreError) << "iter " << iter;
+      continue;
+    }
+    const std::string image = encode(meta, trace, plain);
+    const std::string image_z = encode(meta, trace, zipped);
+    ASSERT_EQ(mapped_read_all(image), trace) << "plain, shape " << shape << " iter " << iter;
+    ASSERT_EQ(mapped_read_all(image_z), trace) << "compressed, shape " << shape << " iter "
+                                               << iter;
 
-    // Oracle: the streaming Reader's v1 decode is the reference.
-    const sniffer::Trace reference = stream_read_all(image_v1);
-    ASSERT_EQ(reference, trace) << "shape " << shape << " iter " << iter;
-
-    // MappedReader over a v1 image IS the streaming path, bit for bit.
-    ASSERT_EQ(mapped_read_all(image_v1), reference) << "v1 iter " << iter;
-    ASSERT_EQ(mapped_read_all(image_v2), reference) << "v2 iter " << iter;
-    ASSERT_EQ(mapped_read_all(image_v2z), reference) << "v2z iter " << iter;
-
-    // Cursors yield the same sequence as read_all on every format.
-    for (const std::string* image : {&image_v1, &image_v2, &image_v2z}) {
-      const MappedReader reader(as_span(*image));
+    for (const std::string* img : {&image, &image_z}) {
+      const MappedReader reader(as_span(*img));
+      EXPECT_EQ(reader.meta(), meta);
       auto cursor = reader.cursor();
       sniffer::Trace streamed;
       sniffer::TraceRecord record;
       while (cursor.next(record)) streamed.push_back(record);
-      ASSERT_EQ(streamed, reference) << "cursor iter " << iter;
+      ASSERT_EQ(streamed, trace) << "cursor iter " << iter;
     }
   }
 }
@@ -328,7 +315,6 @@ TEST(MappedV2Scan, TimeSliceMatchesBruteForceAndSkipsChunks) {
                      lte::Direction::kDownlink, 100 + i, 3});
   }
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.records_per_chunk = 64;
   const std::string image = encode(sample_meta(), trace, opts);
   const MappedReader reader(as_span(image));
@@ -365,7 +351,6 @@ TEST(MappedV2Scan, RntiBloomPrunesForeignChunks) {
     }
   }
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.records_per_chunk = 16;
   const std::string image = encode(sample_meta(), trace, opts);
   const MappedReader reader(as_span(image));
@@ -382,23 +367,10 @@ TEST(MappedV2Scan, RntiBloomPrunesForeignChunks) {
   EXPECT_LE(stats.chunks_decoded, 2u);
 }
 
-TEST(MappedV2Scan, V1FallbackScanIsExact) {
-  Rng rng(13);
-  const sniffer::Trace trace = random_trace(rng, 1);
-  const std::string image = encode(sample_meta(), trace);  // v1
-  const MappedReader reader(as_span(image));
-  const TimeMs t0 = trace[trace.size() / 3].time;
-  const TimeMs t1 = trace[2 * trace.size() / 3].time;
-  EXPECT_EQ(reader.scan(t0, t1), brute_filter(trace, t0, t1));
-  const lte::Rnti rnti = trace.front().rnti;
-  EXPECT_EQ(reader.scan(t0, t1, rnti), brute_filter(trace, t0, t1, rnti));
-}
-
-// --- Corruption: flips, truncations, version confusion. ---
+// --- Corruption: flips, truncations, unknown flags. ---
 
 TEST(MappedV2Corruption, EveryByteFlipOnCompressedFileIsRejected) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.compress = true;
   opts.records_per_chunk = 64;
   const std::string image = encode(sample_meta(), compressible_trace(200), opts);
@@ -415,7 +387,6 @@ TEST(MappedV2Corruption, EveryByteFlipOnCompressedFileIsRejected) {
 
 TEST(MappedV2Corruption, EveryByteFlipOnPlainFileIsRejectedOrHarmless) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.records_per_chunk = 2;
   const std::string image = encode(sample_meta(), sample_trace(), opts);
   const std::size_t flags_pos = kHeaderSizeV2 - 1;
@@ -439,7 +410,6 @@ TEST(MappedV2Corruption, EveryByteFlipOnPlainFileIsRejectedOrHarmless) {
 
 TEST(MappedV2Corruption, EveryTruncationIsRejected) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.records_per_chunk = 2;
   const std::string image = encode(sample_meta(), sample_trace(), opts);
   for (std::size_t len = 0; len < image.size(); ++len) {
@@ -450,14 +420,12 @@ TEST(MappedV2Corruption, EveryTruncationIsRejected) {
 
 TEST(MappedV2Corruption, TrailingGarbageIsRejected) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   const std::string image = encode(sample_meta(), sample_trace(), opts);
   EXPECT_THROW(mapped_read_all(image + "x"), TraceStoreError);
 }
 
 TEST(MappedV2Corruption, UnknownFlagBitsAreRejected) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   std::string image = encode(sample_meta(), sample_trace(), opts);
   image[kHeaderSizeV2 - 1] = static_cast<char>(0x02);
   try {
@@ -465,19 +433,6 @@ TEST(MappedV2Corruption, UnknownFlagBitsAreRejected) {
     FAIL() << "unknown flag bits were accepted";
   } catch (const TraceStoreError& e) {
     EXPECT_NE(std::string(e.what()).find("format flags"), std::string::npos) << e.what();
-  }
-}
-
-TEST(MappedV2Corruption, StreamingReaderRejectsV2WithPointerToMappedReader) {
-  WriterOptions opts;
-  opts.version = kFormatVersionV2;
-  const std::string image = encode(sample_meta(), sample_trace(), opts);
-  try {
-    stream_read_all(image);
-    FAIL() << "streaming Reader accepted a v2 file";
-  } catch (const TraceStoreError& e) {
-    // The error must tell users which API handles v2, not just refuse.
-    EXPECT_NE(std::string(e.what()).find("MappedReader"), std::string::npos) << e.what();
   }
 }
 
@@ -599,6 +554,89 @@ TEST(MappedV2Forged, WrongRntiBloomIsCaughtAtDecode) {
   }
 }
 
+TEST(MappedV2Forged, SwappedChunkRangesAreRejectedAtOpen) {
+  // Each chunk is internally ordered and its directory entry honest, but
+  // the second chunk starts before the first one ends.
+  const sniffer::Trace trace = sample_trace();
+  const std::string image =
+      build_v2(sample_meta(), {{trace[2], trace[3], trace[4]}, {trace[0], trace[1]}});
+  try {
+    MappedReader reader(as_span(image));
+    FAIL() << "swapped chunk ranges were accepted";
+  } catch (const TraceStoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("before the previous chunk ends"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MappedV2Forged, UnorderedRecordsAreCaughtAtDecode) {
+  // One chunk whose records step back in time; its directory entry (the
+  // true min/max) gives nothing away at open.
+  const sniffer::Trace trace = sample_trace();
+  const std::string image = build_v2(sample_meta(), {{trace[1], trace[0], trace[2]}});
+  const MappedReader reader(as_span(image));
+  try {
+    reader.read_all();
+    FAIL() << "unordered records decoded";
+  } catch (const TraceStoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("precedes its predecessor"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Builds a CRC-valid file whose directory tiles the body honestly and
+// claims one record, while the records chunk itself *claims* `count`
+// records over `payload_bytes` bytes of record data. Exercises the chunk's
+// count-vs-capacity clamp, which must reject before reserve() — not after
+// decode trips over garbage.
+std::string forge_records_chunk(std::uint64_t count, std::size_t payload_bytes) {
+  std::string image(kMagic, sizeof(kMagic));
+  image.push_back(static_cast<char>(kFormatVersionV2));
+  image.push_back(0);  // flags
+  append_chunk(image, kChunkMeta, encode_meta(sample_meta()).bytes());
+
+  ByteWriter records;
+  records.put_varint(count);
+  for (std::size_t i = 0; i < payload_bytes; ++i) records.put_u8(0);
+  ChunkInfo info;
+  info.offset = image.size();
+  info.payload_len = records.size();
+  info.records = 1;
+  append_chunk(image, kChunkRecords, records.bytes());
+
+  ByteWriter end;
+  end.put_varint(1);
+  append_chunk(image, kChunkEnd, end.bytes());
+  const std::uint64_t dir_offset = image.size();
+  append_chunk(image, kChunkDirectory, encode_directory({info}));
+  append_trailer(image, dir_offset);
+  return image;
+}
+
+TEST(TraceStoreCorruption, InflatedRecordCountIsRejectedBeforeAllocation) {
+  // 16 bytes of record data can hold at most 16 / kMinRecordBytes = 4
+  // records; a count of 9 passed the old count <= payload.size() check but
+  // must fail the per-chunk capacity clamp with a diagnostic, not by
+  // reserving memory and then tripping over garbage varints.
+  const std::string image = forge_records_chunk(9, 16);
+  try {
+    mapped_read_all(image);
+    FAIL() << "inflated record count was accepted";
+  } catch (const TraceStoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("record count"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("exceeds chunk capacity"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceStoreCorruption, AbsurdRecordCountIsRejected) {
+  // A count decoding to billions must be rejected by the capacity clamp
+  // (implied by kMaxRecordsPerChunk) long before any allocation.
+  const std::string image = forge_records_chunk(kMaxRecordsPerChunk + 1, 32);
+  EXPECT_THROW(mapped_read_all(image), TraceStoreError);
+}
+
 // --- Block codec. ---
 
 TEST(BlockCodec, RoundTripsCompressibleRandomAndEmptyInputs) {
@@ -694,7 +732,6 @@ using MmapToggleTest = TempDirTest;
 
 TEST_F(MmapToggleTest, HeapFallbackDecodesIdentically) {
   WriterOptions opts;
-  opts.version = kFormatVersionV2;
   opts.compress = true;
   opts.records_per_chunk = 128;
   const sniffer::Trace trace = compressible_trace(1'000);
@@ -724,7 +761,7 @@ TEST_F(MmapToggleTest, HeapFallbackDecodesIdentically) {
   EXPECT_EQ(sm.chunks_skipped_time, sh.chunks_skipped_time);
 }
 
-// --- Corpus: sharded manifests, range scans, interop. ---
+// --- Corpus: shard manifests and range scans. ---
 
 using CorpusV2Test = TempDirTest;
 
@@ -738,22 +775,19 @@ void expect_entries_equal(const std::vector<CorpusEntry>& a, const std::vector<C
     EXPECT_EQ(a[i].bytes, b[i].bytes) << "entry " << i;
     EXPECT_EQ(a[i].t0_ms, b[i].t0_ms) << "entry " << i;
     EXPECT_EQ(a[i].t1_ms, b[i].t1_ms) << "entry " << i;
-    EXPECT_EQ(a[i].has_time_range, b[i].has_time_range) << "entry " << i;
   }
 }
 
 // Writes the same 8 traces (2 ops × 2 apps × 2 days, distinct time bands)
 // into `dir` with the given sharding; returns the traces by seq.
 std::vector<sniffer::Trace> write_test_corpus(const std::string& dir,
-                                              std::size_t entries_per_shard,
-                                              std::uint8_t version = kFormatVersionV2) {
+                                              std::size_t entries_per_shard) {
   Rng rng(21);
   std::vector<sniffer::Trace> traces;
   CorpusOptions options;
   options.entries_per_shard = entries_per_shard;
-  options.trace.version = version;
   options.trace.records_per_chunk = 32;
-  options.trace.compress = (version == kFormatVersionV2);
+  options.trace.compress = true;
   CorpusWriter writer(dir, options);
   std::size_t seq = 0;
   for (const int day : {0, 7}) {
@@ -786,14 +820,13 @@ std::vector<sniffer::Trace> write_test_corpus(const std::string& dir,
 TEST_F(CorpusV2Test, ShardedManifestRoundTripsAndMatchesFlat) {
   const std::string flat_dir = dir_ + "/flat";
   const std::string sharded_dir = dir_ + "/sharded";
-  write_test_corpus(flat_dir, 0);
+  write_test_corpus(flat_dir, 0);     // one shard holding all 8 entries
   write_test_corpus(sharded_dir, 3);  // 8 entries → 3 shard files
 
   const Corpus flat = Corpus::open(flat_dir);
   const Corpus sharded = Corpus::open(sharded_dir);
   expect_entries_equal(sharded.entries(), flat.entries());
   ASSERT_EQ(flat.entries().size(), 8u);
-  EXPECT_TRUE(flat.entries()[0].has_time_range);
 
   for (const auto& [app, day_min] :
        std::vector<std::pair<std::optional<std::uint16_t>, std::optional<std::int32_t>>>{
@@ -893,7 +926,6 @@ TEST_F(CorpusV2Test, RangeScanPrunesShardsEntriesAndChunks) {
   {
     CorpusOptions options;
     options.entries_per_shard = 2;
-    options.trace.version = kFormatVersionV2;
     options.trace.records_per_chunk = 32;
     CorpusWriter writer(cdir, options);
     for (std::size_t k = 0; k < 8; ++k) {
@@ -949,64 +981,6 @@ TEST_F(CorpusV2Test, RangeScanPrunesShardsEntriesAndChunks) {
   EXPECT_EQ(victim_stats.entries_pruned, victim_stats.entries_considered - 1);
 }
 
-TEST_F(CorpusV2Test, RangeScanOverV1TraceFilesIsExact) {
-  // v1 .ltt files have no chunk directory — range_scan must fall back to
-  // full decode + filter and still return identical slices.
-  const std::string cdir = dir_ + "/c";
-  const auto traces = write_test_corpus(cdir, 0, kFormatVersion);
-  const Corpus corpus = Corpus::open(cdir);
-  RangeQuery q;
-  q.t0 = 1'000'000;
-  q.t1 = 1'500'000;
-  const auto got = corpus.range_scan(q);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].trace, brute_filter(traces[1], q.t0, q.t1));
-}
-
-TEST_F(CorpusV2Test, LegacyElevenColumnManifestStillOpens) {
-  // Trim the two time-range columns off a fresh manifest: the result is a
-  // byte-exact pre-v2 manifest. It must parse, mark entries as having no
-  // time range, and never be time-pruned (correctness over speed).
-  const std::string cdir = dir_ + "/c";
-  const auto traces = write_test_corpus(cdir, 0);
-  const std::filesystem::path manifest = std::filesystem::path(cdir) / "manifest.csv";
-  std::string text;
-  {
-    std::ifstream in(manifest);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
-  }
-  std::string legacy;
-  std::istringstream lines(text);
-  for (std::string line; std::getline(lines, line);) {
-    // Drop the last two comma-separated fields (t0_ms, t1_ms).
-    for (int i = 0; i < 2; ++i) line.erase(line.rfind(','));
-    legacy += line;
-    legacy += '\n';
-  }
-  {
-    std::ofstream out(manifest, std::ios::trunc);
-    out << legacy;
-  }
-
-  const Corpus corpus = Corpus::open(cdir);
-  ASSERT_EQ(corpus.entries().size(), traces.size());
-  for (const auto& e : corpus.entries()) EXPECT_FALSE(e.has_time_range);
-
-  // Entries can't be pruned by manifest time, but results stay exact and
-  // chunk-directory pruning inside each file still applies.
-  RangeQuery q;
-  q.t0 = 2'000'000;
-  q.t1 = 2'300'000;
-  RangeScanStats stats;
-  const auto got = corpus.range_scan(q, &stats);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].trace, brute_filter(traces[2], q.t0, q.t1));
-  EXPECT_EQ(stats.entries_pruned, 0u);
-  EXPECT_EQ(stats.files_opened, traces.size());
-}
-
 // --- Synth generator: determinism is the whole point. ---
 
 using SynthTest = TempDirTest;
@@ -1019,7 +993,6 @@ TEST_F(SynthTest, SameOptionsYieldByteIdenticalCorpora) {
   options.ues_per_cell = 3;
   options.sessions_per_ue_hour = 1.5;
   options.corpus.entries_per_shard = 2;
-  options.corpus.trace.version = kFormatVersionV2;
   options.corpus.trace.compress = true;
 
   const std::string a = dir_ + "/a";
@@ -1071,7 +1044,6 @@ TEST_F(SynthTest, RangeScanOnSynthCorpusMatchesBruteForce) {
   options.hours = 4;
   options.ues_per_cell = 4;
   options.corpus.entries_per_shard = 3;
-  options.corpus.trace.version = kFormatVersionV2;
   options.corpus.trace.records_per_chunk = 64;
   synth_city_day(dir_ + "/s", options);
 

@@ -60,7 +60,7 @@ done
 # The benchmark set tracked in BENCH_micro.json. Anchored: adding a new
 # benchmark to bench_micro does not silently change this gate — extend the
 # filter (and refresh the baseline) deliberately.
-BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_CorpusFullDecodeV1Stream$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$'
+BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$'
 
 run_bench() {
   step "bench build (default config, as the committed baseline)"

@@ -301,12 +301,9 @@ int cmd_inspect(const Args& args) {
     tracestore::MappedReader reader(*trace_path);
     const tracestore::TraceMeta& meta = reader.meta();
     const sniffer::Trace trace = reader.read_all();  // full CRC/framing/directory validation
-    std::printf("%s: OK (format v%u%s", trace_path->c_str(), reader.version(),
-                reader.compressed() ? ", compressed" : "");
-    if (reader.version() == tracestore::kFormatVersionV2) {
-      std::printf(", %zu directory chunks", reader.chunks().size());
-    }
-    std::printf(")\n");
+    std::printf("%s: OK (format v%u%s, %zu directory chunks)\n", trace_path->c_str(),
+                tracestore::kFormatVersionV2, reader.compressed() ? ", compressed" : "",
+                reader.chunks().size());
     std::printf("  app=%u (%s) operator=%s day=%d seed=%llu cell=%u\n", meta.app,
                 meta.label.c_str(), lte::to_string(meta.op), meta.day,
                 static_cast<unsigned long long>(meta.seed), meta.cell);
@@ -344,7 +341,6 @@ int cmd_synth(const Args& args) {
   opt.hours = static_cast<std::size_t>(args.number("hours", 24));
   opt.ues_per_cell = static_cast<std::size_t>(args.number("ues", 8));
   opt.sessions_per_ue_hour = args.number("sessions", 2.0);
-  opt.corpus.trace.version = static_cast<std::uint8_t>(args.number("version", 2));
   opt.corpus.trace.compress = args.get_or("compress", "false") == "true";
   opt.corpus.trace.records_per_chunk =
       static_cast<std::size_t>(args.number("records-per-chunk", 4096));
@@ -358,7 +354,7 @@ int cmd_synth(const Args& args) {
   const tracestore::SynthSummary s =
       live ? attacks::synth_city_day_live(dir, opt) : tracestore::synth_city_day(dir, opt);
   std::printf("synth: %zu files, %zu records, %zu bytes (%s, v%u%s)\n", s.files, s.records,
-              s.bytes, dir.c_str(), opt.corpus.trace.version,
+              s.bytes, dir.c_str(), tracestore::kFormatVersionV2,
               opt.corpus.trace.compress ? ", compressed" : "");
   return 0;
 }
@@ -546,7 +542,7 @@ void usage() {
                "            [--latency-report true] [--window-verdicts false]\n"
                "  inspect   --corpus DIR [--verify true] | --trace F.ltt\n"
                "  synth     --out DIR [--seed S] [--cells C] [--hours H] [--ues U]\n"
-               "            [--sessions MEAN] [--version 1|2] [--compress true]\n"
+               "            [--sessions MEAN] [--compress true]\n"
                "            [--shard N] [--records-per-chunk N]\n"
                "            [--live true  (run the city through the event engine)]\n"
                "  scan      --corpus DIR [--t0 MS] [--t1 MS] [--rnti R] [--app CODE]\n"
