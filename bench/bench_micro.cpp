@@ -543,6 +543,36 @@ void BM_RandomForestPredictBatchScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestPredictBatchScalar)->Unit(benchmark::kMillisecond);
 
+void BM_RandomForestPredictSmall(benchmark::State& state) {
+  // The streaming daemon's shape: a few rows per predict_rows call, made
+  // through ml::Classifier, with each call's column-major matrix built
+  // from the rows' feature vectors as the daemon builds it per batch.
+  Rng rng(3);
+  const auto data = synthetic_dataset(5000, 3, rng);
+  ml::RandomForest rf;
+  rf.fit(data);
+  const ml::Classifier& model = rf;
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint32_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    std::vector<double> values(n * features::kFeatureCount);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& x = data.samples[(next + i) % data.size()].features;
+      for (std::size_t f = 0; f < features::kFeatureCount; ++f) values[f * n + i] = x[f];
+    }
+    next += n;
+    const auto matrix =
+        features::DatasetMatrix::from_columns(std::move(values), n, features::kFeatureCount);
+    const auto out = model.predict_rows(matrix, rows);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RandomForestPredictSmall)->Arg(1)->Arg(2)->Arg(8);
+
 void BM_DatasetMatrixBuild(benchmark::State& state) {
   Rng rng(3);
   const auto data = synthetic_dataset(static_cast<std::size_t>(state.range(0)), 3, rng);

@@ -32,6 +32,24 @@ DatasetMatrix::DatasetMatrix(const Dataset& data) {
   label_names_ = data.label_names;
 }
 
+DatasetMatrix DatasetMatrix::from_columns(std::vector<double> values, std::size_t rows,
+                                          std::size_t cols) {
+  if (rows > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("DatasetMatrix: dataset exceeds 32-bit row space");
+  }
+  if (values.size() != rows * cols) {
+    throw std::invalid_argument("DatasetMatrix: column values do not fill rows x cols");
+  }
+  auto store = std::make_shared<ColumnStore>();
+  store->rows = rows;
+  store->cols = cols;
+  store->values = std::move(values);
+  DatasetMatrix m;
+  m.store_ = std::move(store);
+  m.labels_.assign(rows, 0);
+  return m;
+}
+
 std::vector<std::size_t> DatasetMatrix::class_histogram() const {
   std::vector<std::size_t> counts(label_names_.empty() ? 0 : label_names_.size(), 0);
   for (const int label : labels_) {

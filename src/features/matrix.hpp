@@ -35,6 +35,15 @@ class DatasetMatrix {
   /// dataset exceeds the 32-bit row-index space.
   explicit DatasetMatrix(const Dataset& data);
 
+  /// An unlabeled matrix (every label 0, no names) over column-major
+  /// `values`: feature f of row i at values[f * rows + i]. For callers
+  /// that already hold a batch's features, such as the streaming daemon,
+  /// so no AoS Dataset is built in between. Throws std::invalid_argument
+  /// unless values.size() == rows * cols, or if rows exceed the 32-bit
+  /// row-index space.
+  static DatasetMatrix from_columns(std::vector<double> values, std::size_t rows,
+                                    std::size_t cols);
+
   std::size_t rows() const { return labels_.size(); }
   std::size_t cols() const { return store_ ? store_->cols : 0; }
   bool empty() const { return labels_.empty(); }

@@ -176,9 +176,7 @@ std::vector<int> FlatForest::predict_rows(const features::DatasetMatrix& data,
   std::vector<int> out(rows.size());
   const ForestKernels kern = select_forest_kernels();
 
-  // Batch-aligned chunks, ~4 per worker for balance: each lambda
-  // invocation then amortizes its tile/leaf buffers over many batches
-  // (chunk = one batch measured ~15% slower from allocation churn alone).
+  // Batch-aligned chunks, ~4 per worker for balance.
   const std::size_t workers = static_cast<std::size_t>(thread_count());
   const std::size_t per_worker = (rows.size() + workers * 4 - 1) / (workers * 4);
   const std::size_t chunk =
@@ -186,12 +184,18 @@ std::vector<int> FlatForest::predict_rows(const features::DatasetMatrix& data,
 
   // Slot-indexed outputs only: bit-identical at any thread count.
   parallel_for(rows.size(), chunk, [&](std::size_t begin, std::size_t end) {
+    // Per-thread scratch, grown and never cleared: a streaming caller
+    // predicts a row or two per call, and allocating plus zero-filling a
+    // tile and a leaf block each time cost more than the traversal.
     // Column-major tile: feature f of batch row k at tile[f*kTileRows+k].
-    // Rows past the current batch size keep stale values from the previous
+    // Rows past the current batch size keep stale values from an earlier
     // batch; lo/count stop the kernels from ever reading them.
-    std::vector<double> tile(std::max<std::size_t>(cols, 1) * kTileRows, 0.0);
-    std::vector<std::int32_t> leaf(n_trees * kBatch);
-    std::vector<double> acc(n_classes);
+    thread_local std::vector<double> tile;
+    thread_local std::vector<std::int32_t> leaf;
+    thread_local std::vector<double> acc;
+    tile.resize(std::max(tile.size(), std::max<std::size_t>(cols, 1) * kTileRows));
+    leaf.resize(std::max(leaf.size(), n_trees * kBatch));
+    acc.resize(std::max(acc.size(), n_classes));
     for (std::size_t b0 = begin; b0 < end; b0 += kBatch) {
       const std::size_t bs = std::min(kBatch, end - b0);
       // Pack the batch's features: per column this reads one gathered

@@ -24,9 +24,9 @@
 // same branch the pointer walk takes). A level-synchronous sweep of
 // `levels` (= tree depth) such steps lands every row of a batch at its
 // leaf with no per-row control flow — the shape that lets the kernels run
-// 16 independent register-resident chains per tree (see
-// flat_forest_kernels.hpp; scalar, SSE2 and AVX2 tiers dispatched at run
-// time through common/cpu).
+// 16 independent register-resident chains per tree, or, for the rows left
+// over, one row through 8 trees at once (see flat_forest_kernels.hpp;
+// scalar, SSE2 and AVX2 tiers dispatched at run time through common/cpu).
 //
 // The engine is BIT-IDENTICAL to the pointer-tree reference
 // (RandomForest::predict_rows_reference), pinned by tests/test_flat_forest:
@@ -67,6 +67,7 @@ class FlatForest {
 
   /// Batch prediction straight off the columnar matrix; bit-identical to
   /// the pointer-tree reference at every dispatch tier and thread count.
+  /// The tile and leaf buffers are per-thread scratch reused across calls.
   std::vector<int> predict_rows(const features::DatasetMatrix& data,
                                 std::span<const std::uint32_t> rows) const;
 

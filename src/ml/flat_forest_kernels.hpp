@@ -72,9 +72,22 @@ struct ForestKernels {
 /// predict_rows invocation, so set_simd_tier takes effect on the next call.
 ForestKernels select_forest_kernels();
 
-/// Portable scalar entry point — the reference tier, and the tail the
-/// wider kernels delegate their last sub-group rows to.
+/// Portable scalar entry point — the reference tier: one row at a time
+/// through one tree at a time, each walk stopping at its leaf.
 void traverse_scalar(const TraverseArgs& args);
+
+/// The part of a tile the wide kernels' 16-row chains do not cover, in
+/// plain C++ shared by the SSE2 and AVX2 tiers:
+///  - rows [tail_lo, count), fewer than one 16-row group, run as
+///    independent chains across TREES: one row through 8 trees at a time,
+///    level-synchronous over the deepest tree of the group, leaves
+///    self-looping. A single-row walk is a chain of dependent loads; 8
+///    trees' walks overlap in the out-of-order core. This is the shape of
+///    a streaming batch, ~1.5 rows per call.
+///  - every row [lo, count) of a tree deeper than kMaxChainLevels, by the
+///    per-row walk (the wide kernels skip such trees).
+/// Every (tree, row) pair still lands on the same leaf id.
+void traverse_tail_chains(const TraverseArgs& args, std::size_t tail_lo);
 
 /// AVX2 entry point (flat_forest_kernels_avx2.cpp). When that TU was built
 /// without AVX2 support (non-x86 toolchain), it forwards to scalar — but

@@ -34,15 +34,6 @@ namespace ltefp::ml {
 
 namespace {
 
-void traverse_one_tree_scalar(const TraverseArgs& a, std::size_t t) {
-  TraverseArgs one = a;
-  one.roots = a.roots + t;
-  one.levels = a.levels + t;
-  one.tree_count = 1;
-  one.node_out = a.node_out + t * kTileRows;
-  traverse_scalar(one);
-}
-
 #define LTEFP_CH_DECL(i) std::int32_t n##i = root;
 #define LTEFP_CH_STEP(i)                                                      \
   {                                                                           \
@@ -64,37 +55,21 @@ void traverse_avx2(const TraverseArgs& a) {
   const std::int64_t* meta = a.meta;
   const double* thr = a.threshold;
   const double* tile = a.tile;
+  const std::size_t groups_end = a.lo + (a.count - a.lo) / 16 * 16;
   for (std::size_t t = 0; t < a.tree_count; ++t) {
     const std::int32_t lv = a.levels[t];
-    if (lv > kMaxChainLevels) {  // degenerate depth: self-loop spin costs
-      traverse_one_tree_scalar(a, t);
-      continue;
-    }
+    if (lv > kMaxChainLevels) continue;  // walked per row by the tail pass
     const std::int32_t root = a.roots[t];
     std::int32_t* out = a.node_out + t * kTileRows;
-    std::size_t k = a.lo;
-    for (; k + 16 <= a.count; k += 16) {
+    for (std::size_t k = a.lo; k < groups_end; k += 16) {
       LTEFP_CH_16(LTEFP_CH_DECL)
       for (std::int32_t lvl = 0; lvl < lv; ++lvl) {
         LTEFP_CH_16(LTEFP_CH_STEP)
       }
       LTEFP_CH_16(LTEFP_CH_OUT)
     }
-    for (; k < a.count; ++k) {  // sub-group tail: single chain, with exit
-      std::int32_t n = root;
-      for (std::int32_t lvl = 0; lvl < lv; ++lvl) {
-        const std::uint64_t m = static_cast<std::uint64_t>(meta[n]);
-        const std::int32_t next =
-            static_cast<std::int32_t>(m >> 32) -
-            static_cast<std::int32_t>(
-                tile[static_cast<std::size_t>(m & 0xFFFFFFFFu) * kTileRows + k] <=
-                thr[n]);
-        if (next == n) break;
-        n = next;
-      }
-      out[k] = n;
-    }
   }
+  traverse_tail_chains(a, groups_end);
 }
 
 #undef LTEFP_CH_DECL

@@ -1,10 +1,12 @@
 #include "stream/daemon.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -58,6 +60,7 @@ struct Worker {
   std::vector<PendingWindow> pending_windows;
   std::vector<SessionEnd> pending_ends;
   std::vector<VerdictRecord> batch_out;
+  std::vector<std::uint32_t> batch_rows;  // 0, 1, 2, ...: grown, never shrunk
   std::thread thread;
 };
 
@@ -101,11 +104,20 @@ void process_batch(Worker& w, const ml::Classifier& model, const StreamConfig& c
                    TimeMs ack) {
   w.batch_out.clear();
   if (!w.pending_windows.empty()) {
-    features::Dataset batch;
-    for (const auto& pw : w.pending_windows) batch.add(pw.features, 0);
-    const features::DatasetMatrix matrix(batch);
-    const auto rows = matrix.all_rows();
-    const std::vector<int> predictions = model.predict_rows(matrix, rows);
+    // The batch's column-major matrix, written straight from the windows.
+    const std::size_t n = w.pending_windows.size();
+    std::vector<double> values(n * features::kFeatureCount);
+    for (std::size_t i = 0; i < n; ++i) {
+      const features::FeatureVector& x = w.pending_windows[i].features;
+      for (std::size_t f = 0; f < features::kFeatureCount; ++f) values[f * n + i] = x[f];
+    }
+    const auto matrix =
+        features::DatasetMatrix::from_columns(std::move(values), n, features::kFeatureCount);
+    while (w.batch_rows.size() < n) {
+      w.batch_rows.push_back(static_cast<std::uint32_t>(w.batch_rows.size()));
+    }
+    const std::vector<int> predictions =
+        model.predict_rows(matrix, std::span<const std::uint32_t>(w.batch_rows.data(), n));
     for (std::size_t i = 0; i < w.pending_windows.size(); ++i) {
       const PendingWindow& pw = w.pending_windows[i];
       attacks::VoteTally& tally = w.votes[VoteKey{pw.lane, pw.session}];
@@ -222,8 +234,16 @@ StreamStats StreamDaemon::run(StreamSource& source, VerdictSink& sink) {
 
   const TimeMs batch = config_.batch_ms;
   TimeMs next_wm = batch;
+  TimeMs broadcast = std::numeric_limits<TimeMs>::min();  // last watermark
   StreamRecord rec;
   while (source.next(rec)) {
+    if (rec.record.time < broadcast) {
+      // Late: workers have already closed windows and sessions up to the
+      // broadcast watermark, so the record cannot be placed (policy in
+      // daemon.hpp).
+      ++stats.late_records;
+      continue;
+    }
     if (rec.record.time >= next_wm) {
       // Skip straight to the last grid point covered by this record: the
       // intermediate watermarks would close the same windows cumulatively,
@@ -234,6 +254,7 @@ StreamStats StreamDaemon::run(StreamSource& source, VerdictSink& sink) {
       mark.kind = Item::Kind::kWatermark;
       mark.watermark = wm;
       for (auto& w : workers) w->queue.push(mark);
+      broadcast = wm;
       ++stats.batches;
       next_wm = wm + batch;
       drain();

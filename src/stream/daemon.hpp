@@ -74,6 +74,9 @@ struct StreamStats {
   std::size_t window_verdicts = 0;
   std::size_t final_verdicts = 0;
   std::size_t batches = 0;  // watermarks broadcast
+  /// Records dropped for arriving with a time below the last broadcast
+  /// watermark (see StreamDaemon::run).
+  std::size_t late_records = 0;
   /// Interim-decision latency (window_end - last record), ms sim time.
   /// Latency is bounded by the window length by construction, so 2 ms
   /// buckets across one subframe batch keep the conservative quantiles
@@ -93,6 +96,13 @@ class StreamDaemon {
   /// Drains `source` to completion, emitting the merged verdict stream
   /// into `sink` (called on this thread, in final order). Returns the
   /// run's statistics. Not reentrant.
+  ///
+  /// Late-record policy: a watermark promises every worker that no record
+  /// below it is still to come, and the workers act on it by closing
+  /// windows and sessions. A record whose time is below the last
+  /// broadcast watermark is therefore dropped, never fed, and counted in
+  /// StreamStats::late_records. Records at or above it may arrive in any
+  /// order across lanes; within a lane, times must not decrease.
   StreamStats run(StreamSource& source, VerdictSink& sink);
 
   const StreamConfig& config() const { return config_; }

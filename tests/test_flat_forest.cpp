@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "common/rng.hpp"
 #include "features/matrix.hpp"
 #include "ml/flat_forest.hpp"
+#include "ml/flat_forest_kernels.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
 
@@ -154,6 +157,87 @@ TEST(FlatForest, NanFeaturesTakeTheRightChildAtEveryTier) {
   expect_identical_under(rf, matrix, expected);
 }
 
+/// A chain-shaped tree deeper than kMaxChainLevels over tricky_dataset's
+/// f0 (about N(label, 1)): node j sends f0 <= -2 + 0.1 j left to a leaf
+/// voting class j % classes, so rows leave the spine at depths spread
+/// over the whole chain, past kMaxChainLevels too.
+DecisionTree deep_chain_tree(int classes) {
+  const int depth = kMaxChainLevels + 8;
+  std::vector<DecisionTree::ExportedNode> nodes(static_cast<std::size_t>(2 * depth + 1));
+  for (int j = 0; j < depth; ++j) {
+    DecisionTree::ExportedNode& split = nodes[static_cast<std::size_t>(j)];
+    split.feature = 0;
+    split.threshold = -2.0 + 0.1 * j;
+    split.left = depth + j;
+    split.right = j + 1 < depth ? j + 1 : 2 * depth;
+  }
+  for (int j = 0; j <= depth; ++j) {
+    DecisionTree::ExportedNode& leaf = nodes[static_cast<std::size_t>(depth + j)];
+    leaf.proba.assign(static_cast<std::size_t>(classes), 0.0);
+    leaf.proba[static_cast<std::size_t>(j % classes)] = 1.0;
+  }
+  return DecisionTree::from_nodes(std::move(nodes), classes);
+}
+
+TEST(FlatForest, SmallBatchTailMatchesReferenceAtEveryRowCount) {
+  // The wide tiers run full 16-row groups as row chains and everything
+  // else (fewer than 16 rows, or trees deeper than kMaxChainLevels) in the
+  // tree-interleaved tail. Every row count from 1 to 70 covers a pure
+  // tail, full groups plus a tail, and a second 64-row batch, through a
+  // strided row span rather than all_rows(). Both forests have 13 trees,
+  // not a multiple of the 8-tree chain group. In `mixed`, the last tree of
+  // each chain group is a depth-1 stump, so a group must step for its
+  // deepest tree, not its last.
+  ThreadGuard threads_guard;
+  TierGuard tier_guard;
+  const int classes = 3;
+  const Dataset data = tricky_dataset(300, classes, 41);
+  const DatasetMatrix matrix(data);
+
+  ForestConfig stump_config;
+  stump_config.num_trees = 2;
+  stump_config.tree.max_depth = 1;
+  RandomForest stumps(stump_config);
+  stumps.fit(data);
+  std::vector<DecisionTree> mixed_trees = small_forest(data, 11).trees();
+  mixed_trees.insert(mixed_trees.begin() + 7, stumps.trees()[0]);
+  mixed_trees.push_back(stumps.trees()[1]);
+  const RandomForest mixed = RandomForest::from_trees(std::move(mixed_trees), classes);
+
+  // Five of `deep`'s 13 trees are deeper than kMaxChainLevels, enough
+  // votes that a wrong leaf in them changes predictions.
+  std::vector<DecisionTree> trees = small_forest(data, 8).trees();
+  for (const std::size_t at : {1, 4, 6, 9, 12}) {
+    trees.insert(trees.begin() + static_cast<std::ptrdiff_t>(at), deep_chain_tree(classes));
+  }
+  const RandomForest deep = RandomForest::from_trees(std::move(trees), classes);
+  // A chain of kMaxChainLevels + 8 splits, one leaf per split plus the last.
+  ASSERT_EQ(deep.trees()[12].node_count(), 2 * (kMaxChainLevels + 8) + 1);
+
+  for (const RandomForest* rf : {&mixed, &deep}) {
+    ASSERT_EQ(rf->tree_count(), 13);
+    for (std::size_t n = 1; n <= 70; ++n) {
+      // A different strided span per count: a kernel that skipped a row
+      // cannot pass on scratch left over from the previous call.
+      std::vector<std::uint32_t> rows(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = static_cast<std::uint32_t>((i * 7 + n * 11) % matrix.rows());
+      }
+      const std::span<const std::uint32_t> span(rows);
+      const auto expected = rf->predict_rows_reference(matrix, span);
+      for (const SimdTier tier : executable_tiers()) {
+        set_simd_tier(tier);
+        for (const int threads : {1, 2, 8}) {
+          set_thread_count(threads);
+          ASSERT_EQ(rf->predict_rows(matrix, span), expected)
+              << "rows=" << n << " tier=" << to_string(tier) << " threads=" << threads
+              << (rf == &deep ? " (deep forest)" : "");
+        }
+      }
+    }
+  }
+}
+
 TEST(FlatForest, WithColumnSwapsOneColumnAndValidates) {
   const Dataset data = tricky_dataset(30, 2, 3);
   const DatasetMatrix matrix(data);
@@ -176,6 +260,30 @@ TEST(FlatForest, WithColumnSwapsOneColumnAndValidates) {
   EXPECT_THROW(matrix.with_column(matrix.cols(), replacement), std::invalid_argument);
   std::vector<double> short_values(matrix.rows() - 1);
   EXPECT_THROW(matrix.with_column(0, short_values), std::invalid_argument);
+}
+
+TEST(FlatForest, FromColumnsMatchesTheDatasetTranspose) {
+  const Dataset data = tricky_dataset(25, 3, 8);
+  const DatasetMatrix matrix(data);
+  std::vector<double> values;
+  for (std::size_t f = 0; f < matrix.cols(); ++f) {
+    const auto column = matrix.column(f);
+    values.insert(values.end(), column.begin(), column.end());
+  }
+  const DatasetMatrix built = DatasetMatrix::from_columns(values, matrix.rows(), matrix.cols());
+  ASSERT_EQ(built.rows(), matrix.rows());
+  ASSERT_EQ(built.cols(), matrix.cols());
+  for (std::size_t i = 0; i < built.rows(); ++i) {
+    for (std::size_t f = 0; f < built.cols(); ++f) EXPECT_EQ(built.at(i, f), matrix.at(i, f));
+    EXPECT_EQ(built.label(i), 0);
+  }
+  const RandomForest rf = small_forest(data);
+  EXPECT_EQ(rf.predict_rows(built, built.all_rows()),
+            rf.predict_rows_reference(matrix, matrix.all_rows()));
+
+  values.pop_back();
+  EXPECT_THROW(DatasetMatrix::from_columns(values, matrix.rows(), matrix.cols()),
+               std::invalid_argument);
 }
 
 TEST(FlatForest, SimdCapFromEnvParsing) {

@@ -1009,17 +1009,24 @@ TEST(UncheckedResultRule, DiscardedStatusReturnFires) {
   EXPECT_TRUE(has_rule(findings, "unchecked-result"));
 }
 
+TEST(UncheckedResultRule, DiscardedCursorNextFires) {
+  const auto findings = lint_cpp(
+      "void f(const MappedReader& reader, sniffer::TraceRecord& rec) {\n"
+      "  MappedReader::Cursor cursor = reader.cursor();\n"
+      "  cursor.next(rec);\n"
+      "}\n");
+  EXPECT_TRUE(has_rule(findings, "unchecked-result"));
+}
+
 TEST(UncheckedResultRule, ConsumedStatusReturnsAreClean) {
   const auto findings = lint_cpp(
-      "std::size_t f(Reader& r, Impl& im, TraceRecord& rec) {\n"
+      "std::size_t f(const MappedReader& reader, TraceRecord& rec) {\n"
       "  std::size_t n = 0;\n"
-      "  while (r.next(rec)) { ++n; }\n"
-      "  std::uint8_t kind = 0;\n"
-      "  std::vector<std::uint8_t> payload;\n"
-      "  if (!im.read_chunk(kind, payload)) { return n; }\n"
+      "  MappedReader::Cursor cursor = reader.cursor();\n"
+      "  while (cursor.next(rec)) { ++n; }\n"
       "  return n;\n"
       "}\n"
-      "bool g(Impl& im, std::uint8_t& b) { return im.get_byte(b); }\n");
+      "bool g(StreamSource& s, StreamRecord& r) { return s.next(r); }\n");
   EXPECT_FALSE(has_rule(findings, "unchecked-result"));
 }
 

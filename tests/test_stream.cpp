@@ -25,6 +25,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "features/window.hpp"
+#include "ml/random_forest.hpp"
 #include "stream/daemon.hpp"
 #include "stream/replay_source.hpp"
 #include "stream/session.hpp"
@@ -469,6 +470,191 @@ TEST(StreamEndToEnd, VerdictsMatchBatchAndAreThreadCountInvariant) {
     count = v.windows;
   }
   fs::remove_all(dir);
+}
+
+/// One lane's record stream: a burst of synth_trace records per start
+/// time, each clipped to its first 3 s.
+std::vector<stream::StreamRecord> lane_bursts(std::uint32_t lane,
+                                              const std::vector<TimeMs>& starts) {
+  std::vector<stream::StreamRecord> out;
+  for (std::size_t b = 0; b < starts.size(); ++b) {
+    const auto trace = synth_trace(1000 + lane * 31 + b, 40, starts[b],
+                                   static_cast<lte::CellId>(1 + lane % 2));
+    for (const auto& r : trace) {
+      if (r.time < starts[b] + 3000) out.push_back({lane, r});
+    }
+  }
+  return out;
+}
+
+/// A small forest over synthetic windows, labelled with app ids, so its
+/// predictions are valid votes.
+ml::RandomForest vote_model(const features::WindowConfig& window) {
+  features::Dataset data;
+  data.feature_names = features::feature_names();
+  for (int app = 0; app < apps::kNumApps; ++app) {
+    data.label_names.push_back(apps::to_string(static_cast<apps::AppId>(app)));
+  }
+  for (std::uint64_t seed = 0; seed < 18; ++seed) {
+    const auto trace = synth_trace(seed, 120, 0);
+    features::append_windows(data, trace, 0, window,
+                             static_cast<int>(seed % static_cast<std::uint64_t>(apps::kNumApps)));
+  }
+  ml::ForestConfig config;
+  config.num_trees = 12;
+  ml::RandomForest rf(config);
+  rf.fit(data);
+  return rf;
+}
+
+/// Runs `records` at 1/2/8 workers: the verdict streams must be
+/// byte-identical and every final verdict must equal batch classify_trace
+/// over the reference segmentation. `verdicts` gets the stream.
+void expect_daemon_matches_batch(const std::vector<stream::StreamRecord>& records,
+                                 stream::StreamConfig config, const ml::Classifier& model,
+                                 std::vector<stream::VerdictRecord>& verdicts) {
+  std::vector<std::string> streams;
+  for (const int workers : {1, 2, 8}) {
+    config.workers = workers;
+    stream::VectorSource source(records);
+    stream::CollectorSink sink;
+    const stream::StreamStats stats = stream::StreamDaemon(model, config).run(source, sink);
+    EXPECT_EQ(stats.records, records.size());
+    EXPECT_EQ(stats.late_records, 0u);
+    streams.push_back(render_csv(sink.verdicts()));
+    verdicts = sink.verdicts();
+  }
+  EXPECT_EQ(streams[0], streams[1]);
+  EXPECT_EQ(streams[0], streams[2]);
+
+  std::map<std::uint32_t, sniffer::Trace> lanes;
+  for (const auto& r : records) lanes[r.lane].push_back(r.record);
+  std::size_t sessions = 0;
+  for (const auto& [lane, trace] : lanes) {
+    const auto segments = split_sessions(trace, config.idle_cutoff);
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      const auto it = std::find_if(verdicts.begin(), verdicts.end(), [&](const auto& v) {
+        return v.final_verdict && v.lane == lane && v.session == s;
+      });
+      ASSERT_NE(it, verdicts.end()) << "no final verdict for lane " << lane << " session " << s;
+      const attacks::TraceVerdict batch =
+          attacks::classify_trace(model, segments[s], segments[s].front().time, config.window);
+      EXPECT_EQ(it->app, batch.app);
+      EXPECT_EQ(it->confidence, batch.confidence);
+      EXPECT_EQ(it->windows, batch.window_count);
+      EXPECT_EQ(it->time, segments[s].back().time + config.idle_cutoff);
+      ++sessions;
+    }
+  }
+  EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                verdicts.begin(), verdicts.end(), [](const auto& v) { return v.final_verdict; })),
+            sessions);
+}
+
+TEST(StreamEndToEnd, SparseLanesThatFallIdleAndReopenMatchBatch) {
+  // Lanes go silent for longer than the idle cutoff and reopen, so whole
+  // workers have no open session for long stretches while marks keep
+  // arriving. Two session ends sit at a watermark:
+  //  - lane 0's last record is at 128 * 40 - cutoff, so its session ends
+  //    exactly on the mark 128 * 40; nothing else arrives until lane 1
+  //    reopens at 128 * 40, and that record broadcasts the mark;
+  //  - lane 2's last phase-C record is at 128 * 188 - cutoff + 1, so its
+  //    session ends 1 ms after the mark 128 * 188 and needs the next one.
+  stream::StreamConfig config;
+  config.idle_cutoff = 1000;
+  // Two-item queues keep the driver in step with the workers, so verdicts
+  // are emitted as marks are acknowledged, not all after the final flush.
+  config.queue_capacity = 2;
+  const TimeMs exact = 128 * 40;
+  const TimeMs one_past = 128 * 188 + 1;
+
+  // Every burst lasts under 3 s: phase A ends before 3100, phase C before
+  // 23100.
+  std::vector<stream::StreamRecord> records;
+  for (std::uint32_t lane = 0; lane < 6; ++lane) {
+    std::vector<TimeMs> starts = {10 + 7 * static_cast<TimeMs>(lane), 20'000 + 11 * lane};
+    if (lane == 1) starts.insert(starts.begin() + 1, exact);
+    if (lane % 2 == 0) starts.push_back(40'000 + 13 * lane);
+    const auto burst = lane_bursts(lane, starts);
+    records.insert(records.end(), burst.begin(), burst.end());
+  }
+  const auto tail_record = [&](std::uint32_t lane, TimeMs time) {
+    sniffer::TraceRecord r = lane_bursts(lane, {time}).front().record;
+    records.push_back({lane, r});
+  };
+  tail_record(0, exact - config.idle_cutoff);
+  tail_record(2, one_past - config.idle_cutoff);
+  const auto merge_order = [&records] {
+    std::stable_sort(records.begin(), records.end(), [](const auto& a, const auto& b) {
+      return a.record.time != b.record.time ? a.record.time < b.record.time : a.lane < b.lane;
+    });
+  };
+  merge_order();
+
+  const ml::RandomForest model = vote_model(config.window);
+  std::vector<stream::VerdictRecord> verdicts;
+  expect_daemon_matches_batch(records, config, model, verdicts);
+  const auto ends_at = [&](TimeMs t) {
+    return std::any_of(verdicts.begin(), verdicts.end(),
+                       [&](const auto& v) { return v.final_verdict && v.time == t; });
+  };
+  EXPECT_TRUE(ends_at(exact));
+  EXPECT_TRUE(ends_at(one_past));
+
+  // The same lanes beside a heartbeat lane that sends a record every 50 ms,
+  // so every grid point is broadcast and marks keep arriving while other
+  // workers' sessions run out.
+  for (TimeMs t = 0; t < 45'000; t += 50) {
+    sniffer::TraceRecord r;
+    r.time = t;
+    r.rnti = 77;
+    r.direction = lte::Direction::kDownlink;
+    r.tb_bytes = 400;
+    r.cell = 1;
+    records.push_back({7, r});
+  }
+  merge_order();
+  expect_daemon_matches_batch(records, config, model, verdicts);
+  EXPECT_TRUE(ends_at(exact));
+  EXPECT_TRUE(ends_at(one_past));
+}
+
+TEST(StreamEndToEnd, LateRecordsAreDroppedAndCounted) {
+  // A record below the last broadcast watermark is dropped: the stream
+  // equals the one without it, and late_records counts it.
+  stream::StreamConfig config;
+  config.idle_cutoff = 1000;
+  config.workers = 2;
+  const auto rec = [](std::uint32_t lane, TimeMs time) {
+    sniffer::TraceRecord r;
+    r.time = time;
+    r.rnti = static_cast<lte::Rnti>(200 + lane);
+    r.direction = lte::Direction::kDownlink;
+    r.tb_bytes = 100 + static_cast<int>(time % 700);
+    r.cell = 3;
+    return stream::StreamRecord{lane, r};
+  };
+  std::vector<stream::StreamRecord> on_time;
+  for (TimeMs t = 0; t < 2000; t += 37) on_time.push_back(rec(static_cast<std::uint32_t>(t % 3), t));
+  std::vector<stream::StreamRecord> with_late = on_time;
+  // Inserted after the record at 370, whose arrival broadcast the mark 256.
+  const auto at = std::find_if(with_late.begin(), with_late.end(),
+                               [](const auto& r) { return r.record.time > 370; });
+  with_late.insert(at, rec(1, 200));
+
+  const ml::RandomForest model = vote_model(config.window);
+  stream::VectorSource clean_source(on_time);
+  stream::CollectorSink clean_sink;
+  const auto clean = stream::StreamDaemon(model, config).run(clean_source, clean_sink);
+  stream::VectorSource late_source(with_late);
+  stream::CollectorSink late_sink;
+  const auto late = stream::StreamDaemon(model, config).run(late_source, late_sink);
+
+  EXPECT_EQ(clean.late_records, 0u);
+  EXPECT_EQ(late.late_records, 1u);
+  EXPECT_EQ(late.records, clean.records);
+  ASSERT_FALSE(clean_sink.verdicts().empty());
+  EXPECT_EQ(render_csv(late_sink.verdicts()), render_csv(clean_sink.verdicts()));
 }
 
 TEST(StreamEndToEnd, WindowVerdictsCanBeSuppressed) {

@@ -8,8 +8,9 @@
 #      prints per-rule finding counts + wall time and writes a machine-
 #      readable report to build-check/lint-findings.json)
 #   3. the tier-1 ctest suite (including the `golden` output digests), then
-#      the forced-scalar suites and the CLI smokes (synth -> scan, live
-#      synth, train -> collect -> classify) and e2ebench/smoke_test.py
+#      the forced-scalar suites and the CLI smokes (synth -> scan, an
+#      unknown flag rejected, live synth, train -> collect -> classify) and
+#      e2ebench/smoke_test.py
 #   4. when the compiler supports them: the ASan+UBSan decoder suites and
 #      the TSan parallel/attack suites (skip with --no-sanitizers)
 #
@@ -60,7 +61,7 @@ done
 # The benchmark set tracked in BENCH_micro.json. Anchored: adding a new
 # benchmark to bench_micro does not silently change this gate — extend the
 # filter (and refresh the baseline) deliberately.
-BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$'
+BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$'
 
 run_bench() {
   step "bench build (default config, as the committed baseline)"
@@ -194,6 +195,29 @@ if [[ "$main_gate" == 1 ]]; then
   "$ROOT/build-check/tools/ltefp" scan --corpus "$smoke_dir" \
     --t0 0 --t1 10800000 --app 0 --verify true
   rm -rf "$smoke_dir"
+
+  step "CLI flag check (an unknown flag, or one with no value, is an error naming it)"
+  # A misspelt flag must not fall back to its default silently, and a bare
+  # flag is named even when it is not the last argument.
+  flag_err="$ROOT/build-check/unknown_flag.err"
+  if "$ROOT/build-check/tools/ltefp" synth --out "$smoke_dir" --shardz 5 \
+      --cells 1 --hours 1 --ues 1 2>"$flag_err"; then
+    echo "ltefp synth accepted the unknown flag --shardz" >&2
+    exit 1
+  fi
+  cat "$flag_err"
+  grep -q -- '--shardz' "$flag_err"
+  if [[ -e "$smoke_dir" ]]; then
+    echo "ltefp synth wrote output despite an unknown flag" >&2
+    exit 1
+  fi
+  if "$ROOT/build-check/tools/ltefp" scan --verify --corpus "$smoke_dir" 2>"$flag_err"; then
+    echo "ltefp scan accepted --verify with no value" >&2
+    exit 1
+  fi
+  cat "$flag_err"
+  grep -q -- 'missing value for --verify' "$flag_err"
+  rm -f "$flag_err"
 
   step "live-engine synth smoke (city event engine -> scan --verify)"
   # Same corpus contract, but every record comes out of the timer-wheel

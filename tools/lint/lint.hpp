@@ -37,8 +37,8 @@
 //                      from_chars) must pass a bound check before it
 //                      reaches resize/reserve/new[]
 //   unchecked-result   from_chars results must have .ec compared before
-//                      use; Reader/Writer status returns (next, get_byte,
-//                      read_chunk) must not be discarded
+//                      use; status returns of next() (MappedReader::Cursor,
+//                      stream sources) must not be discarded
 #pragma once
 
 #include <cstdint>

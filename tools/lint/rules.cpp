@@ -944,20 +944,18 @@ class TaintedAllocRule final : public Rule {
 
 // Two contracts: (1) std::from_chars reports failure only through its result
 // object — the `.ec` member must be compared before the parsed value can be
-// trusted; (2) tracestore Reader/Writer expose pull-style status returns
-// (next / get_byte / read_chunk) whose false/failure values are the ONLY
-// end-of-stream signal, so discarding one silently drops data.
+// trusted; (2) pull-style `next` calls (MappedReader::Cursor::next, stream
+// sources) return false as the ONLY end-of-stream signal, so discarding one
+// silently drops data.
 class UncheckedResultRule final : public Rule {
  public:
   const char* id() const override { return "unchecked-result"; }
   const char* summary() const override {
-    return "from_chars results must have .ec compared before use; Reader/"
-           "Writer status returns (next/get_byte/read_chunk) must be consumed";
+    return "from_chars results must have .ec compared before use; status "
+           "returns of next() must be consumed";
   }
 
   void check(const SourceFile& file, std::vector<Finding>& out) const override {
-    static const std::unordered_set<std::string_view> kStatus = {
-        "next", "get_byte", "read_chunk"};
     const auto& toks = file.tokens;
     const Outline o = build_outline(toks);
     for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -965,12 +963,10 @@ class UncheckedResultRule final : public Rule {
       if (t.kind != TokKind::kIdent || !called(toks, i)) continue;
       if (t.text == "from_chars" && !member_access(toks, i)) {
         check_from_chars(toks, o, i, out);
-      } else if (kStatus.count(t.text) != 0 && member_access(toks, i) &&
-                 discarded(toks, i)) {
+      } else if (t.text == "next" && member_access(toks, i) && discarded(toks, i)) {
         add(out, *this, t.line,
-            "status return of '" + t.text +
-                "' is discarded; Reader/Writer results signal end-of-stream "
-                "and decode failure and must be checked");
+            "status return of 'next' is discarded; it signals end-of-stream "
+            "and must be checked");
       }
     }
   }

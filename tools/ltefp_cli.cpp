@@ -24,6 +24,7 @@
 //   ltefp inspect --corpus corpus/
 //   ltefp train --operator Lab --out model.rf
 //   ltefp classify --model model.rf --trace yt.csv
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "attacks/citysynth.hpp"
@@ -58,11 +60,31 @@ namespace {
 class Args {
  public:
   Args(int argc, char** argv, int start) {
-    for (int i = start; i + 1 < argc; i += 2) {
+    for (int i = start; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         throw std::runtime_error(std::string("expected --flag, got ") + argv[i]);
       }
+      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        throw std::runtime_error(std::string("missing value for ") + argv[i]);
+      }
       values_.emplace_back(argv[i] + 2, argv[i + 1]);
+    }
+  }
+
+  /// Throws unless every flag given is `threads` or one of `accepted`, so
+  /// a misspelt or unsupported flag is an error instead of a silently
+  /// applied default.
+  void reject_unknown(const std::string& command,
+                      std::initializer_list<std::string_view> accepted) const {
+    for (const auto& entry : values_) {
+      const std::string& key = entry.first;
+      if (key == "threads" || std::find(accepted.begin(), accepted.end(), key) != accepted.end()) {
+        continue;
+      }
+      std::string list;
+      for (const std::string_view flag : accepted) list += " --" + std::string(flag);
+      throw std::runtime_error("unknown flag --" + key + " (" + command + " takes --threads" +
+                               list + ")");
     }
   }
 
@@ -573,18 +595,34 @@ int main(int argc, char** argv) {
       }
       set_thread_count(n);
     }
-    if (command == "collect") return cmd_collect(args);
-    if (command == "record") return cmd_record(args);
-    if (command == "replay") return cmd_replay(args);
-    if (command == "stream") return cmd_stream(args);
-    if (command == "inspect") return cmd_inspect(args);
-    if (command == "synth") return cmd_synth(args);
-    if (command == "scan") return cmd_scan(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "classify") return cmd_classify(args);
-    if (command == "history") return cmd_history(args);
-    if (command == "correlate") return cmd_correlate(args);
-    if (command == "info") return cmd_info(args);
+    struct Command {
+      const char* name;
+      int (*run)(const Args&);
+      std::initializer_list<std::string_view> flags;
+    };
+    const Command commands[] = {
+        {"collect", cmd_collect, {"app", "operator", "minutes", "seed", "out"}},
+        {"record", cmd_record, {"operator", "traces", "minutes", "seed", "day", "out"}},
+        {"replay", cmd_replay, {"corpus", "seed", "speed"}},
+        {"stream", cmd_stream,
+         {"corpus", "model", "window-ms", "batch-ms", "workers", "window-verdicts", "speed",
+          "out", "latency-report"}},
+        {"inspect", cmd_inspect, {"corpus", "verify", "trace"}},
+        {"synth", cmd_synth,
+         {"out", "seed", "cells", "hours", "ues", "sessions", "compress", "shard",
+          "records-per-chunk", "live"}},
+        {"scan", cmd_scan, {"corpus", "t0", "t1", "rnti", "app", "cell", "out", "verify"}},
+        {"train", cmd_train, {"operator", "traces", "minutes", "seed", "out"}},
+        {"classify", cmd_classify, {"model", "trace", "window-ms"}},
+        {"history", cmd_history, {"operator", "train-minutes", "visit-minutes", "seed"}},
+        {"correlate", cmd_correlate, {"app", "operator", "paired", "minutes", "seed"}},
+        {"info", cmd_info, {}},
+    };
+    for (const Command& c : commands) {
+      if (command != c.name) continue;
+      args.reject_unknown(command, c.flags);
+      return c.run(args);
+    }
     usage();
     return 2;
   } catch (const std::exception& e) {
