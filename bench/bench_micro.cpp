@@ -6,11 +6,18 @@
 // (one subframe budget on the air is 1 ms).
 //
 // Extra flags (stripped before google-benchmark sees argv):
-//   --json FILE   append machine-readable results (name, iterations,
-//                 ns/op, bytes/s, threads) as a JSON array to FILE, so the
-//                 perf trajectory is tracked across PRs / thread configs
+//   --json FILE   write machine-readable results to FILE: the host block
+//                 e2ebench result files carry (CPU, core count, SIMD tier,
+//                 build type, compiler, threads) and one row per run (name,
+//                 iterations, ns/op, bytes/s, threads), so the perf
+//                 trajectory is tracked across PRs / thread configs and
+//                 numbers from different hosts are never compared
 //   --threads N   pool size for the *Par benchmarks' parallel stages
 #include <benchmark/benchmark.h>
+#include <sched.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include <algorithm>
 #include <cmath>
@@ -40,6 +47,7 @@
 #include "features/window.hpp"
 #include "lte/crc.hpp"
 #include "lte/dci.hpp"
+#include "lte/operator_profile.hpp"
 #include "lte/tbs.hpp"
 #include "ml/cnn.hpp"
 #include "ml/knn.hpp"
@@ -838,6 +846,33 @@ BENCHMARK(BM_SimStepPar)
     ->Args({8, 8})
     ->Unit(benchmark::kMillisecond);
 
+/// The e2ebench city_live city (8 cells x 250 UEs, 30 % commuters, its
+/// DiurnalSource activity, T-Mobile cells) advanced one subframe per
+/// run_for(1), as the live attack drives it. Most subframes wake only a
+/// handful of UEs, so this tracks the per-subframe floor of the engine and
+/// the eNB step, not the sharded region.
+void BM_SimStepSparse(benchmark::State& state) {
+  const ThreadArg threads(state.range(0));
+  apps::CityOptions options;
+  options.seed = 1;
+  options.cells = 8;
+  options.ues_per_cell = 250;
+  options.commuter_fraction = 0.3;
+  options.activity = {minutes(1), 2'000, 1'000};
+  options.profile = lte::operator_profile(lte::Operator::kTmobile);
+  apps::CityScenario city(options);
+  city.run_for(1000);
+  const std::uint64_t events_before = city.sim().ue_events();
+  for (auto _ : state) {
+    city.run_for(1);
+    benchmark::DoNotOptimize(city.sim().now());
+  }
+  const auto events = static_cast<std::int64_t>(city.sim().ue_events() - events_before);
+  state.SetItemsProcessed(events);
+  state.counters["threads"] = static_cast<double>(thread_count());
+}
+BENCHMARK(BM_SimStepSparse)->Arg(1)->Arg(4);
+
 /// Full city-day floor: 10^6 UEs across 10^3 cells through the live
 /// engine. Gated like the >= 1 GB corpus benches — minutes of wall time.
 void BM_SimCityDayLarge(benchmark::State& state) {
@@ -1019,9 +1054,42 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+int online_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
+}
+
+/// The processor's brand string, from CPUID.
+std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned int regs[12] = {};
+  if (__get_cpuid_max(0x80000000, nullptr) >= 0x80000004) {
+    for (unsigned int i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1], &regs[4 * i + 2],
+                  &regs[4 * i + 3]);
+    }
+    char brand[sizeof(regs) + 1] = {};
+    std::memcpy(brand, regs, sizeof(regs));
+    std::string model(brand);
+    model.erase(0, model.find_first_not_of(' '));
+    model.erase(model.find_last_not_of(' ') + 1);
+    if (!model.empty()) return model;
+  }
+#endif
+  return "unknown";
+}
+
+/// {"host": {...}, "rows": [...]}: the host block on the first line, then
+/// one row per line.
 void write_json(const std::string& path, const std::vector<CaptureReporter::Row>& rows) {
   std::ofstream out(path, std::ios::trunc);
-  out << "[\n";
+  out << "{\"host\": {\"nproc\": " << online_cpus() << ", \"cpu_model\": \""
+      << json_escape(cpu_model()) << "\", \"simd_tier\": \"" << to_string(simd_tier())
+      << "\", \"build_type\": \"" << json_escape(LTEFP_BUILD_TYPE) << "\", \"compiler\": \""
+      << json_escape(LTEFP_COMPILER) << "\", \"pool_threads\": " << g_default_threads
+      << ", \"daemon_workers\": " << g_default_threads << "},\n\"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     char line[512];
@@ -1032,7 +1100,7 @@ void write_json(const std::string& path, const std::vector<CaptureReporter::Row>
                   r.ns_per_op, r.bytes_per_s, r.threads, i + 1 < rows.size() ? "," : "");
     out << line;
   }
-  out << "]\n";
+  out << "]}\n";
 }
 
 }  // namespace

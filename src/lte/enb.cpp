@@ -1,7 +1,6 @@
 #include "lte/enb.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "lte/tbs.hpp"
 
@@ -29,6 +28,17 @@ constexpr TimeMs kHarqRtt = 8;
 
 }  // namespace
 
+void EnbStepResult::clear() {
+  pdcch.dcis.clear();
+  rach.clear();
+  rars.clear();
+  rrc_requests.clear();
+  rrc_setups.clear();
+  rrc_releases.clear();
+  established.clear();
+  released.clear();
+}
+
 Enb::Enb(EnbConfig config, Rng rng)
     : config_(config),
       rng_(rng),
@@ -47,10 +57,20 @@ Enb::UeContext Enb::make_context(Tmsi tmsi, Rnti rnti, TimeMs now) {
                 .ul_buffer = 0,
                 .last_activity = now,
                 .channel = ChannelModel(cc, rng_.fork()),
+                .channel_at = now - 1,  // first stepped for `now`
                 .avg_rate_dl = 1.0,
                 .avg_rate_ul = 1.0,
                 .next_harq = 0};
   return ctx;
+}
+
+int Enb::mcs_at(UeContext& ctx, TimeMs now) {
+  // The fading process takes one step per subframe the context exists. It
+  // draws only from its own RNG fork, so stepping it here, once per missed
+  // subframe, gives the same SNR sequence as stepping every context every
+  // subframe, and draws nothing for an idle tail that ends in release.
+  for (; ctx.channel_at < now; ++ctx.channel_at) ctx.channel.step();
+  return ctx.channel.current_mcs();
 }
 
 bool Enb::is_connecting(UeId ue) const {
@@ -113,8 +133,8 @@ void Enb::complete_connection(PendingConnection& pc, TimeMs now, EnbStepResult& 
   result.established.push_back(EnbStepResult::Established{pc.ue, pc.rnti});
 }
 
-EnbStepResult Enb::step(TimeMs now) {
-  EnbStepResult result;
+void Enb::step(TimeMs now, EnbStepResult& result) {
+  result.clear();
   result.pdcch.time = now;
   result.pdcch.cell = config_.cell;
 
@@ -179,16 +199,20 @@ EnbStepResult Enb::step(TimeMs now) {
     it = done ? pending_.erase(it) : std::next(it);
   }
 
-  // --- Link adaptation + inactivity release.
-  std::vector<UeId> to_release;
-  for (auto& [ue, ctx] : contexts_) {
-    ctx.channel.step();
+  // --- Inactivity release. Link adaptation is lazy (mcs_at), so contexts
+  // are only read here; the walk also notes which directions hold bytes.
+  to_release_.clear();
+  bool dl_pending = false;
+  bool ul_pending = false;
+  for (const auto& [ue, ctx] : contexts_) {
+    dl_pending |= ctx.dl_buffer > 0;
+    ul_pending |= ctx.ul_buffer > 0;
     const bool drained = ctx.dl_buffer == 0 && ctx.ul_buffer == 0;
     if (drained && now - ctx.last_activity >= config_.profile.inactivity_timeout) {
-      to_release.push_back(ue);
+      to_release_.push_back(ue);
     }
   }
-  for (const UeId ue : to_release) {
+  for (const UeId ue : to_release_) {
     const auto it = contexts_.find(ue);
     result.rrc_releases.push_back(RrcConnectionRelease{now, config_.cell, it->second.rnti});
     rnti_manager_.release(it->second.rnti, now);
@@ -231,40 +255,40 @@ EnbStepResult Enb::step(TimeMs now) {
       Dci dci;
       dci.direction = Direction::kDownlink;
       dci.rnti = ctx.rnti;
-      dci.mcs = static_cast<std::uint8_t>(ctx.channel.current_mcs());
+      dci.mcs = static_cast<std::uint8_t>(mcs_at(ctx, now));
       dci.nprb = static_cast<std::uint8_t>(rng_.uniform_int(1, 8));
       result.pdcch.dcis.push_back(encode_dci(dci));
     }
   }
 
-  // --- Scheduling, both directions (FDD: independent PRB budgets).
-  schedule_direction(Direction::kDownlink, now, result);
-  schedule_direction(Direction::kUplink, now, result);
-
-  return result;
+  // --- Scheduling, both directions (FDD: independent PRB budgets). A
+  // direction with no bytes anywhere has no candidates, and both schedulers
+  // return on an empty list without touching their state.
+  if (dl_pending) schedule_direction(Direction::kDownlink, now, result);
+  if (ul_pending) schedule_direction(Direction::kUplink, now, result);
 }
 
 void Enb::schedule_direction(Direction dir, TimeMs now, EnbStepResult& result) {
-  std::vector<SchedCandidate> candidates;
-  std::vector<UeContext*> owners;
+  candidates_.clear();
+  owners_.clear();
   for (auto& [ue, ctx] : contexts_) {
     const int buffer = dir == Direction::kDownlink ? ctx.dl_buffer : ctx.ul_buffer;
     if (buffer <= 0) continue;
     SchedCandidate c;
     c.rnti = ctx.rnti;
     c.buffer_bytes = buffer;
-    c.mcs = ctx.channel.current_mcs();
+    c.mcs = mcs_at(ctx, now);
     c.avg_rate = dir == Direction::kDownlink ? ctx.avg_rate_dl : ctx.avg_rate_ul;
-    candidates.push_back(c);
-    owners.push_back(&ctx);
+    candidates_.push_back(c);
+    owners_.push_back(&ctx);
   }
 
   Scheduler& scheduler = dir == Direction::kDownlink ? *dl_scheduler_ : *ul_scheduler_;
   const auto decisions =
-      scheduler.schedule(candidates, total_prb_, config_.profile.max_prb_per_ue);
+      scheduler.schedule(candidates_, total_prb_, config_.profile.max_prb_per_ue);
 
   // Apply grants: drain buffers, update PF state, emit DCIs.
-  std::unordered_map<Rnti, int> served;  // bytes actually served per RNTI
+  served_.clear();
   for (const auto& d : decisions) {
     int nprb = d.nprb;
     if (config_.countermeasures.pad_to_bytes > 0) {
@@ -280,7 +304,7 @@ void Enb::schedule_direction(Direction dir, TimeMs now, EnbStepResult& result) {
     dci.nprb = static_cast<std::uint8_t>(nprb);
     dci.ndi = true;
     result.pdcch.dcis.push_back(encode_dci(dci));
-    served[d.rnti] = d.tb_bytes;
+    served_[d.rnti] = d.tb_bytes;
     // Transport-block failure: the same grant reappears one HARQ RTT
     // later with the NDI untoggled.
     if (config_.profile.harq_bler > 0.0 && rng_.bernoulli(config_.profile.harq_bler)) {
@@ -289,9 +313,9 @@ void Enb::schedule_direction(Direction dir, TimeMs now, EnbStepResult& result) {
       retx_queue_.emplace_back(now + kHarqRtt, retx);
     }
   }
-  for (UeContext* ctx : owners) {
-    const auto it = served.find(ctx->rnti);
-    const int tb = it == served.end() ? 0 : it->second;
+  for (UeContext* ctx : owners_) {
+    const auto it = served_.find(ctx->rnti);
+    const int tb = it == served_.end() ? 0 : it->second;
     if (dir == Direction::kDownlink) {
       if (tb > 0) {
         ctx->dl_buffer = std::max(0, ctx->dl_buffer - tb);

@@ -8,9 +8,10 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -52,6 +53,9 @@ struct EnbStepResult {
   };
   std::vector<Established> established;  // connections completed this subframe
   std::vector<UeId> released;            // UEs dropped to idle this subframe
+
+  /// Empties every list, keeping their capacity for the next subframe.
+  void clear();
 };
 
 class Enb {
@@ -98,8 +102,12 @@ class Enb {
   void page(Tmsi tmsi);
 
   /// Runs one 1 ms subframe: progresses RACH procedures, applies inactivity
-  /// release, link-adapts, schedules both directions, and emits DCIs.
-  EnbStepResult step(TimeMs now);
+  /// release, link-adapts, schedules both directions, and emits DCIs into
+  /// `result`, which is cleared first (its buffers are reused). While the
+  /// cell holds any connected UE it must be stepped once per subframe, with
+  /// consecutive times: each UE's fading process advances one update per
+  /// subframe since its connection, caught up when its MCS is next read.
+  void step(TimeMs now, EnbStepResult& result);
 
  private:
   struct UeContext {
@@ -109,6 +117,7 @@ class Enb {
     int ul_buffer = 0;  // bytes the UE reported via BSR
     TimeMs last_activity = 0;
     ChannelModel channel;
+    TimeMs channel_at = 0;     // last subframe `channel` was stepped for
     double avg_rate_dl = 1.0;  // EWMA bytes/ms, PF metric state
     double avg_rate_ul = 1.0;
     std::uint8_t next_harq = 0;
@@ -127,6 +136,8 @@ class Enb {
   };
 
   UeContext make_context(Tmsi tmsi, Rnti rnti, TimeMs now);
+  /// The UE's link-adapted MCS at `now`, after catching its channel up.
+  static int mcs_at(UeContext& ctx, TimeMs now);
   void schedule_direction(Direction dir, TimeMs now, EnbStepResult& result);
   void complete_connection(PendingConnection& pc, TimeMs now, EnbStepResult& result);
 
@@ -144,6 +155,12 @@ class Enb {
   /// HARQ retransmissions scheduled for a future subframe.
   std::vector<std::pair<TimeMs, Dci>> retx_queue_;
   int total_prb_ = 0;
+
+  // step() scratch, reused across subframes.
+  std::vector<UeId> to_release_;
+  std::vector<SchedCandidate> candidates_;
+  std::vector<UeContext*> owners_;
+  std::unordered_map<Rnti, int> served_;  // bytes actually served per RNTI
 };
 
 }  // namespace ltefp::lte

@@ -36,6 +36,7 @@ CellId Simulation::add_cell(const OperatorProfile& profile,
   enbs_.push_back(std::make_unique<Enb>(config, rng_.fork()));
   observers_.resize(enbs_.size());
   cell_results_.resize(enbs_.size());
+  stepped_.resize(enbs_.size());
   shard_ues_.resize(enbs_.size() + 1);  // final slot collects un-camped UEs
   shard_scratch_.resize(enbs_.size() + 1);
   return cell;
@@ -237,84 +238,76 @@ void Simulation::dispatch_observers(CellId cell, const EnbStepResult& result) {
   }
 }
 
+bool Simulation::step_cell(CellId cell) {
+  Enb& enb = *enbs_[cell];
+  if (enb.quiescent()) return false;
+  enb.step(now_, cell_results_[cell]);
+  return true;
+}
+
 void Simulation::step() {
-  // --- Phase A: wake and process due UEs, sharded by camped cell.
+  // --- Phases A and B: wake and process due UEs, then step every
+  // non-quiescent cell.
   wheel_.drain(now_, wake_at_, due_);
   ue_events_ += due_.size();
-
-  if (!due_.empty()) {
-    if (thread_count() == 1 || due_.size() < kMinDueForSharding) {
-      // Serial fast path: due_ is already in UeId order, which is exactly
-      // the seed-era iteration order; sharding would only add bookkeeping.
-      ShardScratch& scratch = shard_scratch_.front();
-      scratch.resched.clear();
-      for (const UeId ue : due_) process_ue(ue, scratch.packets, &scratch.resched);
-      for (const WheelEntry& e : scratch.resched) wheel_.insert(e.at, e.ue);
-    } else {
-      // Shard by camped cell: a shard owns its cell's eNB (and its RNG
-      // stream) plus its own UEs' state slots, so shards are disjoint and
-      // UeId order within a shard preserves the eNB's draw order. Shard
-      // lists inherit due_'s UeId sort by construction.
-      for (const UeId ue : due_) {
-        const CellId cell = camped_[ue - 1];
-        const std::size_t shard = cell == kNoCell ? enbs_.size() : cell;
-        if (shard_ues_[shard].empty()) active_shards_.push_back(shard);
-        shard_ues_[shard].push_back(ue);
-      }
-      const std::size_t n_shards = active_shards_.size();
-      parallel_for(n_shards, 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          ShardScratch& scratch = shard_scratch_[k];  // slot k: this shard only
-          scratch.resched.clear();
-          for (const UeId ue : shard_ues_[active_shards_[k]]) {
-            process_ue(ue, scratch.packets, &scratch.resched);
-          }
-        }
-      });
-      // Serial merge: re-insert deferred wake-ups. Wheel bucket order is
-      // irrelevant (drain sorts), but we merge in shard order anyway.
-      for (std::size_t k = 0; k < n_shards; ++k) {
-        for (const WheelEntry& e : shard_scratch_[k].resched) wheel_.insert(e.at, e.ue);
-        shard_ues_[active_shards_[k]].clear();
-      }
-      active_shards_.clear();
-    }
-  }
-
-  // --- Phase B: step every non-quiescent cell. Cells are independent for
-  // the duration of a subframe (cross-cell effects only flow through the
-  // serial merge below), so they can run on the pool.
-  cells_to_step_.clear();
   const std::size_t n_cells = enbs_.size();
-  for (std::size_t c = 0; c < n_cells; ++c) {
-    if (!enbs_[c]->quiescent()) cells_to_step_.push_back(static_cast<CellId>(c));
-  }
-  if (cells_to_step_.size() >= 2 && thread_count() > 1) {
-    parallel_for(cells_to_step_.size(), 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const CellId cell = cells_to_step_[i];  // slot: one cell per index
-        cell_results_[cell] = enbs_[cell]->step(now_);
+
+  if (thread_count() == 1 || due_.size() < kMinDueForSharding) {
+    // Inline: due_ is already in UeId order, which is exactly the seed-era
+    // iteration order. A sparse subframe is a few µs of work, less than
+    // opening a pool region costs.
+    ShardScratch& scratch = shard_scratch_.front();
+    scratch.resched.clear();
+    for (const UeId ue : due_) process_ue(ue, scratch.packets, &scratch.resched);
+    for (const WheelEntry& e : scratch.resched) wheel_.insert(e.at, e.ue);
+    for (std::size_t c = 0; c < n_cells; ++c) stepped_[c] = step_cell(static_cast<CellId>(c));
+  } else {
+    // One region, sharded by camped cell: a shard processes its cell's due
+    // UEs, then steps that cell. It owns the cell's eNB (and its RNG stream)
+    // plus its UEs' state slots, so shards are disjoint, and UeId order
+    // within a shard preserves the eNB's draw order. Shard lists inherit
+    // due_'s UeId sort by construction. A cell is a shard when it has due
+    // UEs or is already non-quiescent: only its own UEs reach its eNB, so a
+    // quiescent cell without due UEs stays quiescent.
+    for (const UeId ue : due_) {
+      const CellId cell = camped_[ue - 1];
+      shard_ues_[cell == kNoCell ? n_cells : cell].push_back(ue);
+    }
+    for (std::size_t c = 0; c <= n_cells; ++c) {
+      const bool busy = c < n_cells && !enbs_[c]->quiescent();
+      if (busy || !shard_ues_[c].empty()) active_shards_.push_back(c);
+    }
+    const std::size_t n_shards = active_shards_.size();
+    parallel_for(n_shards, 1, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::size_t shard = active_shards_[k];
+        ShardScratch& scratch = shard_scratch_[k];  // slot k: this shard only
+        scratch.resched.clear();
+        for (const UeId ue : shard_ues_[shard]) {
+          process_ue(ue, scratch.packets, &scratch.resched);
+        }
+        if (shard < n_cells) stepped_[shard] = step_cell(static_cast<CellId>(shard));
       }
     });
-  } else {
-    for (const CellId cell : cells_to_step_) {
-      cell_results_[cell] = enbs_[cell]->step(now_);
+    // Serial merge: re-insert deferred wake-ups. Wheel bucket order is
+    // irrelevant (drain sorts), but we merge in shard order anyway.
+    for (std::size_t k = 0; k < n_shards; ++k) {
+      for (const WheelEntry& e : shard_scratch_[k].resched) wheel_.insert(e.at, e.ue);
+      shard_ues_[active_shards_[k]].clear();
     }
+    active_shards_.clear();
   }
 
   // --- Phase C: serial cross-cell merge in ascending cell order — the
   // seed-era dispatch order, bit-identical at any thread count. Quiescent
   // cells with observers still get their (empty) subframe: a sniffer sees
   // every subframe on the air whether or not anything was scheduled.
-  std::size_t next_stepped = 0;
   for (std::size_t c = 0; c < n_cells; ++c) {
-    const bool stepped =
-        next_stepped < cells_to_step_.size() && cells_to_step_[next_stepped] == c;
-    if (stepped) {
+    if (stepped_[c]) {
       const EnbStepResult& result = cell_results_[c];
       apply_cell_result(*enbs_[c], result, /*schedule_wakes=*/true);
       dispatch_observers(static_cast<CellId>(c), result);
-      ++next_stepped;
+      stepped_[c] = 0;
     } else if (!observers_[c].empty()) {
       empty_pdcch_.time = now_;
       empty_pdcch_.cell = static_cast<CellId>(c);
@@ -334,10 +327,11 @@ void Simulation::step_reference() {
   }
   ue_events_ += static_cast<std::uint64_t>(next_ue_ - 1);
   // 2. Per-cell subframe processing and event dispatch.
-  for (auto& enb : enbs_) {
-    const EnbStepResult result = enb->step(now_);
-    apply_cell_result(*enb, result, /*schedule_wakes=*/false);
-    dispatch_observers(enb->cell(), result);
+  for (std::size_t c = 0; c < enbs_.size(); ++c) {
+    EnbStepResult& result = cell_results_[c];
+    enbs_[c]->step(now_, result);
+    apply_cell_result(*enbs_[c], result, /*schedule_wakes=*/false);
+    dispatch_observers(static_cast<CellId>(c), result);
   }
   ++now_;
 }

@@ -11,12 +11,14 @@
 // step() no longer polls every UE every subframe. A hashed timer wheel
 // holds one pending wake-up per UE; a subframe drains only the UEs that
 // are actually due (next app packet, page retry, post-release trigger),
-// shards them by camped cell across the thread pool, steps only
-// non-quiescent cells, and merges results serially in ascending cell
-// order. The result is bit-identical to the seed-era dense loop — kept as
-// step_reference() — at any thread count.
+// processes them and steps only non-quiescent cells (inline when few UEs
+// are due, else in one pool region sharded by camped cell), and merges
+// results serially in ascending cell order. The result is bit-identical
+// to the seed-era dense loop — kept as step_reference() — at any thread
+// count.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -106,7 +108,7 @@ class Simulation {
  private:
   enum class RrcState : std::uint8_t { kIdle, kConnecting, kConnected };
 
-  /// Per-shard scratch for phase A (traffic generation): each active cell
+  /// Per-shard scratch for the sharded region (traffic generation): each
   /// shard gets its own packet buffer and deferred wheel re-insert list so
   /// shards never touch shared state.
   struct ShardScratch {
@@ -126,6 +128,10 @@ class Simulation {
   /// idle-UE connection triggers, and — in wheel mode — computes and
   /// records the UE's next wake-up.
   void process_ue(UeId ue, std::vector<AppPacket>& scratch, std::vector<WheelEntry>* resched);
+
+  /// Steps the cell into cell_results_[cell] unless it is quiescent;
+  /// returns whether it was stepped.
+  bool step_cell(CellId cell);
 
   /// Applies a cell's step result to UE state (established/released).
   void apply_cell_result(const Enb& enb, const EnbStepResult& result, bool schedule_wakes);
@@ -155,10 +161,12 @@ class Simulation {
   TimerWheel wheel_;
   std::vector<UeId> due_;                        // this subframe, UeId-sorted
   std::vector<std::vector<UeId>> shard_ues_;     // per cell; last = un-camped
-  std::vector<std::size_t> active_shards_;       // shard ids touched this subframe
+  std::vector<std::size_t> active_shards_;       // shard ids run this subframe
   std::vector<ShardScratch> shard_scratch_;      // slot k <-> active_shards_[k]
-  std::vector<CellId> cells_to_step_;            // non-quiescent, ascending
-  std::vector<EnbStepResult> cell_results_;      // indexed by CellId
+  std::vector<EnbStepResult> cell_results_;      // indexed by CellId, reused
+  // Per cell: stepped this subframe. Bytes, not vector<bool>: shards write
+  // their own cell's entry concurrently.
+  std::vector<std::uint8_t> stepped_;
 
   std::vector<std::vector<PdcchObserver*>> observers_;  // indexed by CellId
   TimeMs now_ = 0;

@@ -310,7 +310,29 @@ DecisionTree DecisionTree::from_nodes(std::vector<ExportedNode> nodes, int num_c
     node.left = e.left;
     node.right = e.right;
     node.proba = std::move(e.proba);
+    node.depth = -1;  // not reached yet
     tree.nodes_.push_back(std::move(node));
+  }
+  // One walk from the root sets every node's depth and proves the nodes
+  // form a single tree: each is reached exactly once, so prediction and
+  // FlatForest::build terminate.
+  tree.nodes_[0].depth = 0;
+  std::vector<int> stack{0};
+  std::size_t reached = 1;
+  while (!stack.empty()) {
+    const Node& node = tree.nodes_[static_cast<std::size_t>(stack.back())];
+    stack.pop_back();
+    if (node.feature < 0) continue;
+    for (const int child : {node.left, node.right}) {
+      Node& c = tree.nodes_[static_cast<std::size_t>(child)];
+      if (c.depth >= 0) throw std::invalid_argument("DecisionTree::from_nodes: not a tree");
+      c.depth = node.depth + 1;
+      ++reached;
+      stack.push_back(child);
+    }
+  }
+  if (reached != tree.nodes_.size()) {
+    throw std::invalid_argument("DecisionTree::from_nodes: node unreachable from the root");
   }
   return tree;
 }

@@ -82,7 +82,8 @@ class DecisionTree {
   std::vector<ExportedNode> export_nodes() const;
 
   /// Rebuilds a tree from exported nodes (index 0 is the root). Throws
-  /// std::invalid_argument on inconsistent input.
+  /// std::invalid_argument on inconsistent input, including nodes that do
+  /// not form one tree (a node reached twice or never).
   static DecisionTree from_nodes(std::vector<ExportedNode> nodes, int num_classes);
 
  private:

@@ -14,6 +14,7 @@
 #include "apps/population.hpp"
 #include "attacks/collect.hpp"
 #include "common/parallel.hpp"
+#include "lte/crc.hpp"
 #include "lte/mobility.hpp"
 #include "lte/network.hpp"
 #include "lte/operator_profile.hpp"
@@ -142,6 +143,9 @@ class LifecycleObserver final : public PdcchObserver {
   void on_subframe(const PdcchSubframe& sf) override {
     ++subframes;
     dci_count += sf.dcis.size();
+    for (const EncodedDci& dci : sf.dcis) {
+      if (recover_rnti(dci.payload, dci.masked_crc) == kPagingRnti) ++pages;
+    }
     last_time = sf.time;
   }
   void on_rach(const RachPreamble&) override { ++rach; }
@@ -150,7 +154,7 @@ class LifecycleObserver final : public PdcchObserver {
   void on_rrc_setup(const RrcConnectionSetup&) override { ++setups; }
   void on_rrc_release(const RrcConnectionRelease&) override { ++releases; }
 
-  std::size_t subframes = 0, dci_count = 0;
+  std::size_t subframes = 0, dci_count = 0, pages = 0;
   int rach = 0, rar = 0, requests = 0, setups = 0, releases = 0;
   TimeMs last_time = -1;
 };
@@ -399,6 +403,108 @@ TEST(CityEngine, QuiescentCellStillFeedsObservers) {
   EXPECT_EQ(idle_obs.dci_count, 0u);
   EXPECT_EQ(idle_obs.last_time, 199);
   EXPECT_EQ(idle_obs.rach + idle_obs.rar + idle_obs.requests, 0);
+}
+
+/// FNV-1a 64 over a captured observer stream.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A 3-cell scenario that drives every eNB feature into the observer
+/// stream: dummy grants, C-RNTI re-key, TB padding, SUCI concealment, HARQ
+/// retransmissions, a connected handover, paging of idle UEs, and UEs that
+/// hit the inactivity timer and are re-activated later. For the first
+/// 1.5 s a crowd of densely polled UEs keeps >= kMinDueForSharding UEs due
+/// every subframe (the sharded region); after that only the sparse victims
+/// are due (the inline path).
+Scenario every_enb_feature() {
+  Scenario sc;
+  sc.duration = 3'000;
+  sc.seed = 2401;
+  sc.build = [](Simulation& sim) {
+    OperatorProfile busy = operator_profile(Operator::kTmobile);  // PF, BLER 0.10
+    busy.inactivity_timeout = 400;
+    OperatorProfile quiet = lab();  // round-robin
+    quiet.inactivity_timeout = 300;
+    quiet.channel_volatility_db = 1.5;
+    quiet.harq_bler = 0.05;
+    CountermeasureConfig all;
+    all.rnti_rekey_period = 170;
+    all.pad_to_bytes = 512;
+    all.dummy_grant_rate = 0.03;
+    CountermeasureConfig chaff;
+    chaff.dummy_grant_rate = 0.01;
+    std::vector<CellId> cells;
+    cells.push_back(sim.add_cell(busy, all, /*conceal_identity=*/true));
+    cells.push_back(sim.add_cell(quiet));
+    cells.push_back(sim.add_cell(busy, chaff, /*conceal_identity=*/false));
+    // Sparse victims (UEs 1..9): periods longer than the inactivity
+    // timeouts, so each arrival after the first finds the UE idle; downlink
+    // ones are paged, uplink ones RACH on their own.
+    for (int i = 0; i < 9; ++i) {
+      const UeId ue = sim.add_ue(24'000 + static_cast<Imsi>(i));
+      sim.camp(ue, cells[static_cast<std::size_t>(i) % cells.size()]);
+      const Direction dir = i % 2 == 0 ? Direction::kDownlink : Direction::kUplink;
+      sim.set_traffic_source(ue, std::make_unique<SparseTickerSource>(dir, 700 + 90 * i,
+                                                                      560 + 45 * i));
+    }
+    // Dense crowd (UEs 10..81).
+    for (int i = 0; i < 72; ++i) {
+      const UeId ue = sim.add_ue(24'100 + static_cast<Imsi>(i));
+      sim.camp(ue, cells[static_cast<std::size_t>(i) % cells.size()]);
+      const Direction dir = i % 3 == 0 ? Direction::kUplink : Direction::kDownlink;
+      sim.set_traffic_source(
+          ue, std::make_unique<TickerSource>(dir, 300 + 7 * i, 25 + i % 11, i % 17));
+    }
+    return cells;
+  };
+  // Connected handover of a crowd UE, then a silent UE connected by hand
+  // that idles out on the inactivity timer.
+  sc.actions.emplace_back(260, [](Simulation& sim) { sim.move(10, 1); });
+  sc.actions.emplace_back(900, [](Simulation& sim) {
+    const UeId silent = sim.add_ue(24'999);
+    sim.camp(silent, 2);
+    sim.connect(silent);
+  });
+  sc.actions.emplace_back(1'500, [](Simulation& sim) {
+    for (UeId ue = 10; ue < 82; ++ue) sim.set_traffic_source(ue, nullptr);
+  });
+  return sc;
+}
+
+TEST(CityEngine, EnbObserverStreamIsPinned) {
+  // The wheel-vs-reference tests cannot see a change inside Enb::step (both
+  // engines call it), so the eNB's full observable output is pinned to a
+  // committed digest. A change here is a change in simulation results.
+  constexpr std::uint64_t kPinnedDigest = 0xfbb954ac9b8177d4ULL;
+  const Scenario sc = every_enb_feature();
+  const std::vector<std::uint8_t> ref = run_capture(sc, /*reference=*/true, 1);
+  EXPECT_EQ(fnv1a(ref), kPinnedDigest) << std::hex << "reference digest 0x" << fnv1a(ref);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const std::uint64_t got = fnv1a(run_capture(sc, /*reference=*/false, threads));
+    EXPECT_EQ(got, kPinnedDigest) << std::hex << "threads=" << threads << " digest 0x" << got;
+  }
+
+  // The scenario reaches what it claims to pin.
+  Simulation sim(sc.seed);
+  LifecycleObserver life;
+  for (const CellId cell : sc.build(sim)) sim.add_observer(cell, life);
+  std::size_t next_action = 0;
+  for (TimeMs t = 0; t < sc.duration; ++t) {
+    while (next_action < sc.actions.size() && sc.actions[next_action].first <= t) {
+      sc.actions[next_action++].second(sim);
+    }
+    sim.step();
+  }
+  EXPECT_GT(life.pages, 3u);
+  EXPECT_GT(life.releases, 9);                // inactivity releases
+  EXPECT_GT(life.requests, 82 + 9);           // victims re-activated after release
+  EXPECT_EQ(life.rach, life.requests + 1);    // one contention-free handover RACH
 }
 
 // ---------------------------------------------------------------------------

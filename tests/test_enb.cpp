@@ -8,6 +8,13 @@
 namespace ltefp::lte {
 namespace {
 
+/// One subframe into a fresh result.
+EnbStepResult step(Enb& enb, TimeMs now) {
+  EnbStepResult result;
+  enb.step(now, result);
+  return result;
+}
+
 Enb make_enb(Operator op = Operator::kLab) {
   EnbConfig config;
   config.cell = 1;
@@ -19,7 +26,7 @@ Enb make_enb(Operator op = Operator::kLab) {
 int connect_ue(Enb& enb, UeId ue, Tmsi tmsi, TimeMs& now) {
   enb.start_connection(ue, tmsi, now);
   for (int i = 0; i < 30; ++i) {
-    const auto result = enb.step(now++);
+    const auto result = step(enb, now++);
     if (!result.established.empty()) return i;
   }
   ADD_FAILURE() << "connection never completed";
@@ -34,7 +41,7 @@ TEST(Enb, ContentionBasedConnectionSequence) {
   bool saw_rach = false, saw_rar = false, saw_request = false, saw_setup = false;
   Rnti assigned = 0;
   for (int i = 0; i < 20 && !saw_setup; ++i) {
-    const auto result = enb.step(now++);
+    const auto result = step(enb, now++);
     if (!result.rach.empty()) {
       saw_rach = true;
       EXPECT_FALSE(saw_rar) << "Msg1 must precede Msg2";
@@ -77,7 +84,7 @@ TEST(Enb, HandoverAdmissionSkipsMsg3) {
   enb.admit_handover(5, 0x11112222, now);
   bool established = false;
   for (int i = 0; i < 10; ++i) {
-    const auto result = enb.step(now++);
+    const auto result = step(enb, now++);
     EXPECT_TRUE(result.rrc_requests.empty()) << "contention-free RACH has no Msg3";
     EXPECT_TRUE(result.rrc_setups.empty());
     if (!result.established.empty()) {
@@ -96,12 +103,12 @@ TEST(Enb, DuplicateConnectionRequestsIgnored) {
   enb.start_connection(1, 0xAA, now);  // duplicate while connecting
   int established = 0;
   for (int i = 0; i < 20; ++i) {
-    established += static_cast<int>(enb.step(now++).established.size());
+    established += static_cast<int>(step(enb, now++).established.size());
   }
   EXPECT_EQ(established, 1);
   enb.start_connection(1, 0xAA, now);  // already connected
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(enb.step(now++).established.empty());
+    EXPECT_TRUE(step(enb, now++).established.empty());
   }
 }
 
@@ -115,7 +122,7 @@ TEST(Enb, TrafficProducesDcisAndDrainsBuffer) {
   enb.push_traffic(1, Direction::kUplink, 4'000, now);
   long long dl_tbs = 0, ul_tbs = 0;
   for (int i = 0; i < 200; ++i) {
-    const auto result = enb.step(now++);
+    const auto result = step(enb, now++);
     for (const auto& enc : result.pdcch.dcis) {
       if (recover_rnti(enc.payload, enc.masked_crc) != rnti) continue;
       const auto dci = decode_dci_fields(enc);
@@ -140,7 +147,7 @@ TEST(Enb, InactivityReleasesRntiAndEmitsRrcRelease) {
 
   bool released = false;
   for (int i = 0; i < 11'000 && !released; ++i) {
-    const auto result = enb.step(now++);
+    const auto result = step(enb, now++);
     if (!result.rrc_releases.empty()) {
       EXPECT_EQ(result.rrc_releases[0].rnti, rnti);
       ASSERT_FALSE(result.released.empty());
@@ -161,7 +168,7 @@ TEST(Enb, ActivityRefreshesInactivityTimer) {
   for (int burst = 0; burst < 4; ++burst) {
     enb.push_traffic(1, Direction::kUplink, 100, now);
     for (int i = 0; i < 5000; ++i) {
-      EXPECT_TRUE(enb.step(now++).released.empty());
+      EXPECT_TRUE(step(enb, now++).released.empty());
     }
   }
   EXPECT_TRUE(enb.is_connected(1));
@@ -182,16 +189,31 @@ TEST(Enb, ReconnectAssignsFreshRnti) {
 TEST(Enb, PagingEmitsPRntiDci) {
   Enb enb = make_enb();
   enb.page(0x1234);
-  const auto result = enb.step(0);
+  const auto result = step(enb, 0);
   ASSERT_FALSE(result.pdcch.dcis.empty());
   EXPECT_EQ(recover_rnti(result.pdcch.dcis[0].payload, result.pdcch.dcis[0].masked_crc),
             kPagingRnti);
 }
 
+TEST(Enb, StepClearsTheResultItRefills) {
+  Enb enb = make_enb();
+  TimeMs now = 0;
+  enb.start_connection(1, 0xAA, now);
+  enb.page(0x1234);
+  EnbStepResult result;
+  enb.step(now++, result);
+  EXPECT_EQ(result.rach.size(), 1u);
+  EXPECT_EQ(result.pdcch.dcis.size(), 1u);  // the page
+  enb.step(now++, result);
+  EXPECT_EQ(result.pdcch.time, 1);
+  EXPECT_TRUE(result.rach.empty());
+  EXPECT_TRUE(result.pdcch.dcis.empty());
+}
+
 TEST(Enb, PushTrafficForUnknownUeIsIgnored) {
   Enb enb = make_enb();
   enb.push_traffic(99, Direction::kDownlink, 100, 0);  // must not crash
-  const auto result = enb.step(0);
+  const auto result = step(enb, 0);
   EXPECT_TRUE(result.pdcch.dcis.empty());
 }
 

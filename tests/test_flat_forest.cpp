@@ -213,6 +213,7 @@ TEST(FlatForest, SmallBatchTailMatchesReferenceAtEveryRowCount) {
   const RandomForest deep = RandomForest::from_trees(std::move(trees), classes);
   // A chain of kMaxChainLevels + 8 splits, one leaf per split plus the last.
   ASSERT_EQ(deep.trees()[12].node_count(), 2 * (kMaxChainLevels + 8) + 1);
+  EXPECT_EQ(deep.trees()[12].depth(), 40);
 
   for (const RandomForest* rf : {&mixed, &deep}) {
     ASSERT_EQ(rf->tree_count(), 13);

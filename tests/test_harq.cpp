@@ -7,6 +7,13 @@
 namespace ltefp::lte {
 namespace {
 
+/// One subframe into a fresh result.
+EnbStepResult step(Enb& enb, TimeMs now) {
+  EnbStepResult result;
+  enb.step(now, result);
+  return result;
+}
+
 struct HarqCounts {
   int first_tx = 0;  // NDI = true
   int retx = 0;      // NDI = false
@@ -21,7 +28,7 @@ HarqCounts run_with_bler(double bler) {
 
   TimeMs now = 0;
   enb.start_connection(1, 0xAA, now);
-  for (int i = 0; i < 20; ++i) enb.step(now++);
+  for (int i = 0; i < 20; ++i) step(enb, now++);
   EXPECT_TRUE(enb.is_connected(1));
   const Rnti rnti = *enb.rnti_of(1);
 
@@ -29,7 +36,7 @@ HarqCounts run_with_bler(double bler) {
   for (int burst = 0; burst < 50; ++burst) {
     enb.push_traffic(1, Direction::kDownlink, 2000, now);
     for (int i = 0; i < 40; ++i) {
-      const auto result = enb.step(now++);
+      const auto result = step(enb, now++);
       for (const auto& enc : result.pdcch.dcis) {
         if (recover_rnti(enc.payload, enc.masked_crc) != rnti) continue;
         const auto dci = decode_dci_fields(enc);
@@ -67,14 +74,14 @@ TEST(Harq, RetransmissionRepeatsGrantParameters) {
   Enb enb(config, Rng(6));
   TimeMs now = 0;
   enb.start_connection(1, 0xAA, now);
-  for (int i = 0; i < 20; ++i) enb.step(now++);
+  for (int i = 0; i < 20; ++i) step(enb, now++);
   const Rnti rnti = *enb.rnti_of(1);
 
   enb.push_traffic(1, Direction::kUplink, 700, now);
   Dci first{}, retx{};
   bool saw_first = false, saw_retx = false;
   for (int i = 0; i < 30 && !saw_retx; ++i) {
-    const auto result = enb.step(now++);
+    const auto result = step(enb, now++);
     for (const auto& enc : result.pdcch.dcis) {
       if (recover_rnti(enc.payload, enc.masked_crc) != rnti) continue;
       const auto dci = decode_dci_fields(enc);

@@ -45,6 +45,38 @@ TEST(ForestSerialization, RoundTripPredictionsIdentical) {
   }
 }
 
+TEST(ForestSerialization, RoundTripKeepsTreeDepths) {
+  Rng rng(3);
+  const Dataset data = blobs(rng);
+  RandomForest original(ForestConfig{.num_trees = 6});
+  original.fit(data);
+
+  std::stringstream buffer;
+  save_forest(buffer, original);
+  const RandomForest reloaded = load_forest(buffer);
+
+  ASSERT_EQ(reloaded.tree_count(), original.tree_count());
+  for (std::size_t t = 0; t < original.trees().size(); ++t) {
+    EXPECT_GT(original.trees()[t].depth(), 0);
+    EXPECT_EQ(reloaded.trees()[t].depth(), original.trees()[t].depth()) << "tree " << t;
+  }
+}
+
+TEST(ForestSerialization, NodesThatAreNotOneTreeThrow) {
+  for (const char* text : {
+           // node 1 points back at the root
+           "ltefp-rf v1\ntrees 1 classes 2\ntree 3\nnode 0 0.5 1 2\nnode 0 0.1 0 2\nleaf 1 0\n",
+           // both children are the same leaf
+           "ltefp-rf v1\ntrees 1 classes 2\ntree 3\nnode 0 0.5 1 1\nleaf 1 0\nleaf 0 1\n",
+           // a self-loop
+           "ltefp-rf v1\ntrees 1 classes 2\ntree 2\nnode 0 0.5 0 1\nleaf 1 0\n",
+           // node 2 is never reached
+           "ltefp-rf v1\ntrees 1 classes 2\ntree 3\nleaf 1 0\nleaf 0 1\nleaf 0 1\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(load_forest(in), std::invalid_argument) << text;
+  }
+}
+
 TEST(ForestSerialization, UntrainedForestRefusesToSave) {
   RandomForest empty;
   std::stringstream buffer;

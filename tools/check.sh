@@ -23,9 +23,11 @@
 #                                     named steps)
 #   tools/check.sh --bench      build bench_micro (default config, matching
 #                               the committed baseline) and diff its tracked
-#                               benchmarks' ns/op against BENCH_micro.json;
-#                               prints NEW/MISSING/ok per entry and WARNS on
-#                               >25% regressions (never fails — this VM's
+#                               benchmarks' ns/op against BENCH_micro.json
+#                               (tools/bench_diff.py); prints NEW/MISSING/ok
+#                               per entry and WARNS on >25% regressions, or
+#                               "not comparable" when the baseline's host
+#                               block differs (never fails — this VM's
 #                               wall clock is noisy; treat warnings as a
 #                               prompt to re-run and investigate)
 #   tools/check.sh --bench-update   same run, then rewrite BENCH_micro.json
@@ -61,7 +63,7 @@ done
 # The benchmark set tracked in BENCH_micro.json. Anchored: adding a new
 # benchmark to bench_micro does not silently change this gate — extend the
 # filter (and refresh the baseline) deliberately.
-BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$'
+BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$|^BM_SimStepSparse/(1|4)$'
 
 run_bench() {
   step "bench build (default config, as the committed baseline)"
@@ -74,53 +76,9 @@ run_bench() {
     --benchmark_filter="$BENCH_FILTER" --json "$fresh"
 
   step "bench diff vs BENCH_micro.json (warn > 25%)"
-  awk '
-    # Both files are one JSON object per line, written by bench_micro
-    # itself; POSIX match()/RSTART/RLENGTH keep this dependency-free.
-    {
-      if (match($0, /"name": "[^"]*"/)) {
-        name = substr($0, RSTART + 9, RLENGTH - 10)
-        if (match($0, /"ns_per_op": [0-9.eE+-]+/)) {
-          ns = substr($0, RSTART + 13, RLENGTH - 13) + 0
-          if (NR == FNR) {
-            base[name] = ns
-            base_order[++nb] = name
-          } else {
-            cur[name] = ns
-            cur_order[++nc] = name
-          }
-        }
-      }
-    }
-    END {
-      warned = 0
-      for (i = 1; i <= nc; i++) {
-        name = cur_order[i]
-        if (!(name in base)) {
-          printf "NEW         %-34s %14.0f ns/op (no baseline)\n", name, cur[name]
-          continue
-        }
-        pct = (cur[name] - base[name]) / base[name] * 100.0
-        if (pct > 25.0) {
-          printf "REGRESSION  %-34s %14.0f -> %.0f ns/op (%+.1f%%)\n", \
-                 name, base[name], cur[name], pct
-          warned++
-        } else {
-          printf "ok          %-34s %14.0f -> %.0f ns/op (%+.1f%%)\n", \
-                 name, base[name], cur[name], pct
-        }
-      }
-      for (i = 1; i <= nb; i++) {
-        name = base_order[i]
-        if (!(name in cur)) printf "MISSING     %-34s (in baseline, not produced)\n", name
-      }
-      if (warned > 0) {
-        printf "\nWARNING: %d benchmark(s) regressed more than 25%% vs the committed baseline\n", warned
-      } else {
-        print "\nno regressions beyond 25%"
-      }
-    }
-  ' "$ROOT/BENCH_micro.json" "$fresh"
+  # Same host rule as e2ebench/compare.py: a baseline from another host is
+  # "not comparable", never a regression.
+  python3 "$ROOT/tools/bench_diff.py" "$ROOT/BENCH_micro.json" "$fresh"
 
   if [[ "$bench_update" == 1 ]]; then
     step "refreshing BENCH_micro.json"
