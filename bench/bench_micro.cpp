@@ -26,8 +26,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -730,31 +728,30 @@ BENCHMARK(BM_CollectTracesPar)->Args({4, 1})->Args({4, 2})->Args({4, 4})->Unit(b
 
 // --- city-scale event engine benchmarks ----------------------------------
 
+// Every city bench advances one city further into its simulated day, so
+// each pins its iteration count: google-benchmark's own choice would vary
+// from run to run and across thread counts, and ns/op would then cover a
+// different stretch of city time each run. A fresh city per benchmark run
+// keeps repetitions on the same stretch too.
+
 /// City populations for the engine benches: sparse diurnal activity (the
 /// workload the timer wheel exists for), ~1000 UEs per cell, no commute
-/// churn so runs measure the steady state. Cached per size because building
-/// a million UEs is itself seconds of work; reuse across calibration
-/// re-entries just advances the same city further into its day.
-apps::CityScenario& cached_city(std::size_t ues) {
-  static std::map<std::size_t, std::unique_ptr<apps::CityScenario>> cache;
-  auto& slot = cache[ues];
-  if (!slot) {
-    apps::CityOptions options;
-    options.seed = 21;
-    options.cells = std::max<std::size_t>(1, ues / 1000);
-    options.ues_per_cell = ues / options.cells;
-    options.commuter_fraction = 0.0;
-    slot = std::make_unique<apps::CityScenario>(options);
-    slot->run_for(1000);  // fill the wheel / reach steady state
-  }
-  return *slot;
+/// churn so runs measure the steady state.
+apps::CityOptions diurnal_city(std::size_t ues) {
+  apps::CityOptions options;
+  options.seed = 21;
+  options.cells = std::max<std::size_t>(1, ues / 1000);
+  options.ues_per_cell = ues / options.cells;
+  options.commuter_fraction = 0.0;
+  return options;
 }
 
 /// Wheel engine: events/s is the dispatch throughput (UE wake-ups actually
 /// processed), sim_ms/s the simulated-time rate — the speedup claim in
 /// DESIGN.md compares the latter against BM_SimStepRef at equal UE count.
 void BM_SimStep(benchmark::State& state) {
-  apps::CityScenario& city = cached_city(static_cast<std::size_t>(state.range(0)));
+  apps::CityScenario city(diurnal_city(static_cast<std::size_t>(state.range(0))));
+  city.run_for(1000);  // fill the wheel / reach steady state
   const std::uint64_t events_before = city.sim().ue_events();
   constexpr TimeMs kChunk = 64;
   for (auto _ : state) {
@@ -769,29 +766,16 @@ void BM_SimStep(benchmark::State& state) {
       static_cast<double>(state.iterations() * kChunk), benchmark::Counter::kIsRate);
   state.counters["ues"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_SimStep)
-    ->Arg(1'000)
-    ->Arg(100'000)
-    ->Arg(1'000'000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimStep)->Arg(1'000)->Iterations(50'000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimStep)->Arg(100'000)->Iterations(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimStep)->Arg(1'000'000)->Iterations(40)->Unit(benchmark::kMillisecond);
 
 /// Seed-era dense loop on the identical population: every UE polled every
 /// subframe. The events counter deliberately uses the same definition
 /// (process_ue dispatches), so events/s here is poll throughput.
 void BM_SimStepRef(benchmark::State& state) {
-  static std::map<std::size_t, std::unique_ptr<apps::CityScenario>> cache;
-  const auto ues = static_cast<std::size_t>(state.range(0));
-  auto& slot = cache[ues];
-  if (!slot) {
-    apps::CityOptions options;
-    options.seed = 21;
-    options.cells = std::max<std::size_t>(1, ues / 1000);
-    options.ues_per_cell = ues / options.cells;
-    options.commuter_fraction = 0.0;
-    slot = std::make_unique<apps::CityScenario>(options);
-    slot->sim().run_for_reference(1000);
-  }
-  apps::CityScenario& city = *slot;
+  apps::CityScenario city(diurnal_city(static_cast<std::size_t>(state.range(0))));
+  city.sim().run_for_reference(1000);
   const std::uint64_t events_before = city.sim().ue_events();
   constexpr TimeMs kChunk = 16;
   for (auto _ : state) {
@@ -806,7 +790,8 @@ void BM_SimStepRef(benchmark::State& state) {
       static_cast<double>(state.iterations() * kChunk), benchmark::Counter::kIsRate);
   state.counters["ues"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_SimStepRef)->Arg(1'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimStepRef)->Arg(1'000)->Iterations(6'000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimStepRef)->Arg(100'000)->Iterations(50)->Unit(benchmark::kMillisecond);
 
 /// Sharded phase scaling: a busy city (short think gaps, so most cells are
 /// non-quiescent and >= kMinDueForSharding UEs are due per subframe) at
@@ -844,6 +829,7 @@ BENCHMARK(BM_SimStepPar)
     ->Args({8, 2})
     ->Args({8, 4})
     ->Args({8, 8})
+    ->Iterations(100)
     ->Unit(benchmark::kMillisecond);
 
 /// The e2ebench city_live city (8 cells x 250 UEs, 30 % commuters, its
@@ -871,7 +857,7 @@ void BM_SimStepSparse(benchmark::State& state) {
   state.SetItemsProcessed(events);
   state.counters["threads"] = static_cast<double>(thread_count());
 }
-BENCHMARK(BM_SimStepSparse)->Arg(1)->Arg(4);
+BENCHMARK(BM_SimStepSparse)->Arg(1)->Arg(4)->Iterations(200'000);
 
 /// Full city-day floor: 10^6 UEs across 10^3 cells through the live
 /// engine. Gated like the >= 1 GB corpus benches — minutes of wall time.
@@ -880,7 +866,8 @@ void BM_SimCityDayLarge(benchmark::State& state) {
     state.SkipWithError("set LTEFP_BENCH_LARGE=1 to run the 10^6-UE city bench");
     return;
   }
-  apps::CityScenario& city = cached_city(1'000'000);
+  apps::CityScenario city(diurnal_city(1'000'000));
+  city.run_for(1000);
   const std::uint64_t events_before = city.sim().ue_events();
   constexpr TimeMs kChunk = 10'000;  // 10 s of city time per iteration
   for (auto _ : state) {
@@ -894,7 +881,7 @@ void BM_SimCityDayLarge(benchmark::State& state) {
   state.counters["sim_ms_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kChunk), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimCityDayLarge)->Unit(benchmark::kSecond);
+BENCHMARK(BM_SimCityDayLarge)->Iterations(1)->Unit(benchmark::kSecond);
 
 // --- streaming daemon benchmarks -----------------------------------------
 

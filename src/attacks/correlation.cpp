@@ -30,8 +30,9 @@ std::vector<double> direction_series(const sniffer::Trace& trace, lte::Direction
   return sniffer::frames_per_bin(filtered, origin, t_w, bins);
 }
 
-}  // namespace
-
+/// DTW similarity features from two captured traces. `clock_skew` shifts
+/// trace B's bin origin, modelling the unsynchronised capture clocks of two
+/// independent sniffers.
 features::FeatureVector similarity_features(const sniffer::Trace& a, const sniffer::Trace& b,
                                             TimeMs origin, TimeMs t_w, TimeMs duration,
                                             TimeMs clock_skew) {
@@ -60,6 +61,8 @@ features::FeatureVector similarity_features(const sniffer::Trace& a, const sniff
 
   return {sim_ul_dl, sim_dl_ul, sim_total, volume_ratio};
 }
+
+}  // namespace
 
 PairObservation run_pair_session(apps::AppId app, bool paired,
                                  const CorrelationConfig& config) {

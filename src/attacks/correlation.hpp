@@ -61,13 +61,6 @@ SimilarityStats measure_similarity(apps::AppId app, int runs, const CorrelationC
 ml::BinaryMetrics correlation_attack(apps::AppId app, int train_pairs, int test_pairs,
                                      const CorrelationConfig& config);
 
-/// DTW similarity features from two captured traces (exposed for tests and
-/// the examples). `clock_skew` shifts trace B's bin origin, modelling the
-/// unsynchronised capture clocks of two independent sniffers.
-features::FeatureVector similarity_features(const sniffer::Trace& a, const sniffer::Trace& b,
-                                            TimeMs origin, TimeMs t_w, TimeMs duration,
-                                            TimeMs clock_skew = 0);
-
 /// All-pairs DTW similarity of captured traces: bins each trace into a
 /// per-T_w frame-count series from `origin`, then fills the flattened
 /// row-major n×n matrix of cross-trace similarities — the candidate-pair
@@ -88,7 +81,7 @@ struct CandidateRanking {
 /// Ranks candidate victims against one target: the target's uplink series
 /// vs each candidate's downlink series (when the target talks, their
 /// uplink mirrors the contact's downlink — the same cross-direction signal
-/// similarity_features uses). Runs on the pruned candidate-search engine
+/// the pairwise contact features use). Runs on the pruned candidate-search engine
 /// (dtw::top_k): most candidates are rejected by the LB_Kim/LB_Keogh
 /// cascade or an early-abandoned DP, and the returned ranking is
 /// bit-identical to scoring every candidate in full.

@@ -4,7 +4,10 @@
 #include <unordered_set>
 
 namespace ltefp::attacks {
+namespace {
 
+/// Serialises one collected session into `corpus` with its capture
+/// metadata.
 void spill_to_corpus(tracestore::CorpusWriter& corpus, const CollectedTrace& collected,
                      lte::Operator op, std::uint64_t seed, int day) {
   tracestore::TraceMeta meta;
@@ -17,6 +20,8 @@ void spill_to_corpus(tracestore::CorpusWriter& corpus, const CollectedTrace& col
   meta.session_start = collected.session_start;
   corpus.add(meta, collected.trace);
 }
+
+}  // namespace
 
 RecordResult record_corpus(const PipelineConfig& config, const std::string& dir) {
   const std::vector<CollectedTrace> traces = collect_all_traces(config);
@@ -39,24 +44,15 @@ std::vector<CollectedTrace> load_corpus(const std::string& dir, std::optional<ap
   const tracestore::Corpus corpus = tracestore::Corpus::open(dir);
   tracestore::CorpusFilter filter;
   if (app) filter.app = static_cast<std::uint16_t>(*app);
-  // Metadata screening stays serial and cheap; the .ltt decodes behind
-  // load_all() run concurrently, returned in seq order.
-  for (const auto& entry : corpus.select(filter)) {
-    if (entry.meta.app >= static_cast<std::uint16_t>(apps::kNumApps)) {
-      throw tracestore::TraceStoreError("corpus: " + entry.file + ": app code " +
-                                        std::to_string(entry.meta.app) +
+  // load_all() skips shards whose app mask cannot match before parsing
+  // them, and decodes the selected .ltt files concurrently, in seq order.
+  std::vector<CollectedTrace> out;
+  for (auto& loaded : corpus.load_all(filter)) {
+    if (loaded.entry.meta.app >= static_cast<std::uint16_t>(apps::kNumApps)) {
+      throw tracestore::TraceStoreError("corpus: " + loaded.entry.file + ": app code " +
+                                        std::to_string(loaded.entry.meta.app) +
                                         " is not a known AppId");
     }
-  }
-  // Full-range scan with empty entries kept: exactly load_all()'s result,
-  // but routed through the range_scan path so sharded manifests prune by
-  // app before any shard file (let alone trace file) is opened.
-  tracestore::RangeQuery query;
-  query.filter = filter;
-  query.keep_empty_entries = true;
-  std::vector<CollectedTrace> out;
-  auto loaded_all = corpus.range_scan(query);
-  for (auto& loaded : loaded_all) {
     CollectedTrace t;
     t.app = static_cast<apps::AppId>(loaded.entry.meta.app);
     t.session_start = loaded.entry.meta.session_start;

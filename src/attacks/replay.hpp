@@ -35,9 +35,4 @@ RecordResult record_corpus(const PipelineConfig& config, const std::string& dir)
 std::vector<CollectedTrace> load_corpus(const std::string& dir,
                                         std::optional<apps::AppId> app = std::nullopt);
 
-/// Serialises one collected session into `corpus` (exposed so ad-hoc
-/// captures — CLI `record`, lab sessions — share the metadata convention).
-void spill_to_corpus(tracestore::CorpusWriter& corpus, const CollectedTrace& collected,
-                     lte::Operator op, std::uint64_t seed, int day);
-
 }  // namespace ltefp::attacks

@@ -81,7 +81,6 @@ class Enb {
   bool is_connected(UeId ue) const { return contexts_.contains(ue); }
   bool is_connecting(UeId ue) const;
   std::optional<Rnti> rnti_of(UeId ue) const;
-  std::size_t connected_count() const { return contexts_.size(); }
 
   /// True when a step() would be a provable no-op: no contexts (so no
   /// channel evolution, rekey, dummy-grant or scheduler RNG draws), no

@@ -95,8 +95,6 @@ class Simulation {
   bool is_connected(UeId ue) const;
   CellId camped_cell(UeId ue) const;
   const OperatorProfile& cell_profile(CellId cell) const;
-  std::size_t cell_count() const { return enbs_.size(); }
-  std::size_t ue_count() const { return camped_.size(); }
 
   /// UE wake-up events dispatched by step() so far (diagnostics; the dense
   /// reference loop instead counts one event per UE per subframe).

@@ -24,18 +24,4 @@ std::vector<int> Classifier::predict_rows(const features::DatasetMatrix& data,
   return out;
 }
 
-std::vector<int> predict_all(const Classifier& model, const Dataset& data) {
-  // Transpose once and take the batch path: classifiers with a columnar
-  // engine (RandomForest's flat forest) predict the whole set per tile,
-  // everything else falls back to the per-row gather in predict_rows.
-  // Either way results match per-sample predict() exactly.
-  if (data.empty()) return {};
-  const features::DatasetMatrix matrix(data);
-  return model.predict_rows(matrix, matrix.all_rows());
-}
-
-std::vector<int> predict_all(const Classifier& model, const features::DatasetMatrix& data) {
-  return model.predict_rows(data, data.all_rows());
-}
-
 }  // namespace ltefp::ml

@@ -45,10 +45,4 @@ class Classifier {
   virtual const char* name() const = 0;
 };
 
-/// Predicts a whole dataset; returns labels in sample order.
-std::vector<int> predict_all(const Classifier& model, const Dataset& data);
-
-/// Predicts every row of a columnar matrix, in row order.
-std::vector<int> predict_all(const Classifier& model, const features::DatasetMatrix& data);
-
 }  // namespace ltefp::ml

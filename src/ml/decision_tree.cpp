@@ -269,11 +269,6 @@ const std::vector<double>& DecisionTree::predict_proba_row(
   return node->proba;
 }
 
-int DecisionTree::predict_row(const features::DatasetMatrix& data, std::size_t row) const {
-  const auto& proba = predict_proba_row(data, row);
-  return static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
-}
-
 std::vector<DecisionTree::ExportedNode> DecisionTree::export_nodes() const {
   std::vector<ExportedNode> out;
   out.reserve(nodes_.size());

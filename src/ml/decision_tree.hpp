@@ -61,10 +61,9 @@ class DecisionTree {
   int predict(const features::FeatureVector& x) const;
   const std::vector<double>& predict_proba(const features::FeatureVector& x) const;
 
-  /// Columnar traversal: leaf distribution / label for one matrix row.
+  /// Columnar traversal: leaf distribution for one matrix row.
   const std::vector<double>& predict_proba_row(const features::DatasetMatrix& data,
                                                std::size_t row) const;
-  int predict_row(const features::DatasetMatrix& data, std::size_t row) const;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   int depth() const;

@@ -70,9 +70,6 @@ double weighted(const ConfusionMatrix& cm, Metric metric) {
 }
 }  // namespace
 
-double ConfusionMatrix::weighted_precision() const {
-  return weighted(*this, [this](int c) { return precision(c); });
-}
 double ConfusionMatrix::weighted_recall() const {
   return weighted(*this, [this](int c) { return recall(c); });
 }

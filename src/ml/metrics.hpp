@@ -25,7 +25,6 @@ class ConfusionMatrix {
   double f_score(int cls) const;
 
   /// Mean of per-class metrics weighted by class support.
-  double weighted_precision() const;
   double weighted_recall() const;
   double weighted_f_score() const;
 

@@ -1,12 +1,21 @@
 #include "stream/replay_source.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "tracestore/corpus.hpp"
 
 namespace ltefp::stream {
 
-ReplaySource::ReplaySource(const std::string& directory, double speed) : speed_(speed) {
-  if (speed_ < 0.0) throw std::invalid_argument("ReplaySource: speed must be positive");
+auto ReplaySource::later() const {
+  return [this](std::size_t a, std::size_t b) {
+    const StreamRecord& ra = streams_[a].head;
+    const StreamRecord& rb = streams_[b].head;
+    if (ra.record.time != rb.record.time) return ra.record.time > rb.record.time;
+    return ra.lane > rb.lane;
+  };
+}
+
+ReplaySource::ReplaySource(const std::string& directory) {
   const tracestore::Corpus corpus = tracestore::Corpus::open(directory);
   streams_.reserve(corpus.entries().size());
   for (const auto& entry : corpus.entries()) {
@@ -16,63 +25,28 @@ ReplaySource::ReplaySource(const std::string& directory, double speed) : speed_(
     s.cursor.emplace(s.reader->cursor());
     streams_.push_back(std::move(s));
   }
-  build_heap();
-}
-
-ReplaySource::ReplaySource(const std::string& directory, double speed,
-                           const tracestore::RangeQuery& query)
-    : speed_(speed) {
-  if (speed_ < 0.0) throw std::invalid_argument("ReplaySource: speed must be positive");
-  const tracestore::Corpus corpus = tracestore::Corpus::open(directory);
-  for (auto& loaded : corpus.range_scan(query)) {
-    LaneStream s;
-    s.lane = static_cast<std::uint32_t>(loaded.entry.seq);
-    s.buffered = std::move(loaded.trace);
-    streams_.push_back(std::move(s));
-  }
-  build_heap();
-}
-
-ReplaySource::~ReplaySource() = default;
-
-void ReplaySource::build_heap() {
-  const auto later = [this](std::size_t a, std::size_t b) {
-    const StreamRecord& ra = streams_[a].head;
-    const StreamRecord& rb = streams_[b].head;
-    if (ra.record.time != rb.record.time) return ra.record.time > rb.record.time;
-    return ra.lane > rb.lane;
-  };
   heap_.reserve(streams_.size());
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     if (refill(streams_[i])) heap_.push_back(i);
   }
-  std::make_heap(heap_.begin(), heap_.end(), later);
+  std::make_heap(heap_.begin(), heap_.end(), later());
 }
 
+ReplaySource::~ReplaySource() = default;
+
 bool ReplaySource::refill(LaneStream& s) {
-  if (s.cursor.has_value()) {
-    if (!s.cursor->next(s.head.record)) return false;
-  } else {
-    if (s.pos >= s.buffered.size()) return false;
-    s.head.record = s.buffered[s.pos++];
-  }
+  if (!s.cursor->next(s.head.record)) return false;
   s.head.lane = s.lane;
   return true;
 }
 
 bool ReplaySource::next(StreamRecord& out) {
   if (heap_.empty()) return false;
-  const auto later = [this](std::size_t a, std::size_t b) {
-    const StreamRecord& ra = streams_[a].head;
-    const StreamRecord& rb = streams_[b].head;
-    if (ra.record.time != rb.record.time) return ra.record.time > rb.record.time;
-    return ra.lane > rb.lane;
-  };
-  std::pop_heap(heap_.begin(), heap_.end(), later);
+  std::pop_heap(heap_.begin(), heap_.end(), later());
   const std::size_t idx = heap_.back();
   out = streams_[idx].head;
   if (refill(streams_[idx])) {
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    std::push_heap(heap_.begin(), heap_.end(), later());
   } else {
     heap_.pop_back();
   }

@@ -5,11 +5,10 @@
 // the corpus-backed implementation: it opens every .ltt entry of a
 // tracestore corpus through a memory-mapped cursor and k-way merges them,
 // so a multi-gigabyte corpus streams at O(lanes × one chunk) memory
-// instead of being decoded whole. A ReplaySource can also be confined to a
-// time × RNTI slice, in which case it rides Corpus::range_scan — manifest
-// shards, entries and chunks that cannot match are never touched. The
-// speed multiplier is carried as metadata for the CLI pacer; the source
-// itself is clock-free (src/ determinism contract).
+// instead of being decoded whole. Each lane is time-ordered because its
+// reader rejects a directory that steps back at open and a chunk whose
+// records go back in time before yielding any of them. The source is
+// clock-free (src/ determinism contract); pacing lives in the CLI.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "stream/session.hpp"
-#include "tracestore/corpus.hpp"
 #include "tracestore/mapped_reader.hpp"
 
 namespace ltefp::stream {
@@ -53,41 +51,29 @@ class VectorSource final : public StreamSource {
 class ReplaySource final : public StreamSource {
  public:
   /// Opens `directory` (throws TraceStoreError when absent/corrupt).
-  /// `speed` is the sim-time-per-wall-time multiplier the CLI pacer will
-  /// honor; 0 means unpaced (as fast as the pipeline drains), negative
-  /// throws. Lanes stream lazily, one decoded chunk resident per lane.
-  explicit ReplaySource(const std::string& directory, double speed = 0.0);
-
-  /// Replays only the slice matching `query` (time window, RNTI, metadata
-  /// filter), pruned via Corpus::range_scan. Lanes whose slice is empty
-  /// are dropped.
-  ReplaySource(const std::string& directory, double speed, const tracestore::RangeQuery& query);
+  /// Lanes stream lazily, one decoded chunk resident per lane.
+  explicit ReplaySource(const std::string& directory);
 
   ~ReplaySource() override;
 
   bool next(StreamRecord& out) override;
 
-  double speed() const { return speed_; }
   std::size_t lanes() const { return streams_.size(); }
   std::size_t records_emitted() const { return emitted_; }
 
  private:
   struct LaneStream {
     std::uint32_t lane = 0;
-    // Full-corpus lanes: a mapped reader + cursor (reader owns the
-    // mapping, so it must outlive the cursor — member order matters).
+    // The reader owns the mapping, so it must outlive the cursor —
+    // member order matters.
     std::unique_ptr<tracestore::MappedReader> reader;
     std::optional<tracestore::MappedReader::Cursor> cursor;
-    // Range-scan lanes: the pre-sliced records.
-    sniffer::Trace buffered;
-    std::size_t pos = 0;
     StreamRecord head;  // next record of this lane, already decoded
   };
 
-  void build_heap();
   bool refill(LaneStream& s);  // loads s.head; false at lane end
+  auto later() const;          // heap order: (head.time, lane), min on top
 
-  double speed_;
   std::vector<LaneStream> streams_;
   // Min-heap of indices into streams_, ordered by (head.time, lane); kept
   // with std::make_heap/std::push_heap on a plain vector — stream code must

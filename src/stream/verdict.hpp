@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "apps/app_id.hpp"
@@ -52,18 +50,6 @@ class VerdictSink {
  public:
   virtual ~VerdictSink() = default;
   virtual void emit(const VerdictRecord& v) = 0;
-};
-
-/// Invokes a callback per verdict (alert hooks, downstream pipelines).
-class CallbackSink final : public VerdictSink {
- public:
-  explicit CallbackSink(std::function<void(const VerdictRecord&)> fn) : fn_(std::move(fn)) {}
-  void emit(const VerdictRecord& v) override {
-    if (fn_) fn_(v);
-  }
-
- private:
-  std::function<void(const VerdictRecord&)> fn_;
 };
 
 /// Streams the CSV form (header first) to an ostream the caller owns.

@@ -360,112 +360,85 @@ std::vector<CorpusEntry> Corpus::select(const CorpusFilter& filter) const {
   return out;
 }
 
-sniffer::Trace Corpus::load(const CorpusEntry& entry) const {
-  const fs::path path = fs::path(directory_) / entry.file;
-  MappedReader reader(path.string());
+namespace {
+
+/// The one way a corpus entry is read: maps its .ltt file, checks the
+/// embedded metadata against the manifest row, and drains a cursor over
+/// [q.t0, q.t1] (and q.rnti). An unranged read must also yield the
+/// manifest's record count. Adds the file and its chunk counts to `stats`.
+sniffer::Trace read_entry(const std::string& directory, const CorpusEntry& entry,
+                          const RangeQuery& q, RangeScanStats& stats) {
+  MappedReader reader((fs::path(directory) / entry.file).string());
   if (reader.meta() != entry.meta) {
     throw TraceStoreError("corpus: " + entry.file +
                           ": embedded metadata disagrees with manifest row " +
                           std::to_string(entry.seq));
   }
-  sniffer::Trace trace = reader.read_all();
-  if (trace.size() != entry.records) {
+  MappedReader::Cursor cursor = reader.cursor(q.t0, q.t1, q.rnti);
+  sniffer::Trace trace;
+  cursor.drain(trace);
+  const bool unranged = !q.rnti && q.t0 == std::numeric_limits<TimeMs>::min() &&
+                        q.t1 == std::numeric_limits<TimeMs>::max();
+  if (unranged && trace.size() != entry.records) {
     throw TraceStoreError("corpus: " + entry.file + ": manifest declares " +
                           std::to_string(entry.records) + " records, file holds " +
                           std::to_string(trace.size()));
   }
+  ++stats.files_opened;
+  stats.chunks_decoded += cursor.chunks_decoded();
+  stats.chunks_skipped += cursor.chunks_skipped();
+  stats.records_out += trace.size();
   return trace;
+}
+
+}  // namespace
+
+sniffer::Trace Corpus::load(const CorpusEntry& entry) const {
+  RangeScanStats unused;
+  return read_entry(directory_, entry, RangeQuery{}, unused);
 }
 
 std::vector<Corpus::LoadedTrace> Corpus::load_all(const CorpusFilter& filter) const {
   const std::vector<CorpusEntry> selected = select(filter);
   return parallel_map(selected.size(), [&](std::size_t i) {
-    LoadedTrace out;
-    out.entry = selected[i];
-    out.trace = load(selected[i]);
-    return out;
+    return LoadedTrace{selected[i], load(selected[i])};
   });
 }
 
 std::vector<Corpus::LoadedTrace> Corpus::range_scan(const RangeQuery& q,
                                                     RangeScanStats* stats) const {
   RangeScanStats local;
-
-  // A shard whose summary time range misses [t0, t1] cannot contribute —
-  // unless empty slices must be kept, in which case its filter-matching
-  // entries still appear (as empty traces), so it must still be parsed.
-  const auto shard_time_overlaps = [&](const Shard& s) {
-    return s.records == 0 || (s.t1 >= q.t0 && s.t0 <= q.t1);
-  };
-
-  struct Candidate {
-    CorpusEntry entry;
-    bool open = false;  // false: emit an empty slice without touching the file
-  };
-  std::vector<Candidate> cands;
-  const auto consider = [&](const CorpusEntry& e) {
-    ++local.entries_considered;
-    if (!q.filter.matches(e.meta)) {
-      ++local.entries_pruned;
-      return;
-    }
-    const bool overlaps = e.records > 0 && e.t1_ms >= q.t0 && e.t0_ms <= q.t1;
-    if (overlaps) {
-      cands.push_back({e, true});
-      return;
-    }
-    ++local.entries_pruned;
-    if (q.keep_empty_entries) cands.push_back({e, false});
-  };
-
   local.shards_total = shards_.size();
+  std::vector<CorpusEntry> cands;
   for (const Shard& s : shards_) {
-    if (!shard_may_match(s, q.filter) || !(q.keep_empty_entries || shard_time_overlaps(s))) {
+    const bool time_overlaps = s.records == 0 || (s.t1 >= q.t0 && s.t0 <= q.t1);
+    if (!shard_may_match(s, q.filter) || !time_overlaps) {
       ++local.shards_pruned;
       continue;
     }
-    for (const CorpusEntry& e : shard_rows(s)) consider(e);
+    for (const CorpusEntry& e : shard_rows(s)) {
+      ++local.entries_considered;
+      if (q.filter.matches(e.meta) && e.records > 0 && e.t1_ms >= q.t0 && e.t0_ms <= q.t1) {
+        cands.push_back(e);
+      } else {
+        ++local.entries_pruned;
+      }
+    }
   }
 
-  struct SliceResult {
-    LoadedTrace loaded;
-    ScanStats scan;
-  };
-  std::vector<SliceResult> sliced = parallel_map(cands.size(), [&](std::size_t i) {
-    SliceResult out;
-    out.loaded.entry = cands[i].entry;
-    if (!cands[i].open) return out;
-    const fs::path path = fs::path(directory_) / cands[i].entry.file;
-    MappedReader reader(path.string());
-    if (reader.meta() != cands[i].entry.meta) {
-      throw TraceStoreError("corpus: " + cands[i].entry.file +
-                            ": embedded metadata disagrees with manifest row " +
-                            std::to_string(cands[i].entry.seq));
-    }
-    out.loaded.trace = reader.scan(q.t0, q.t1, q.rnti, &out.scan);
-    // An unconstrained scan is a full decode, so the manifest's record
-    // count must hold — same strictness load() gives load_all().
-    const bool full = !q.rnti && q.t0 == std::numeric_limits<TimeMs>::min() &&
-                      q.t1 == std::numeric_limits<TimeMs>::max();
-    if (full && out.loaded.trace.size() != cands[i].entry.records) {
-      throw TraceStoreError("corpus: " + cands[i].entry.file + ": manifest declares " +
-                            std::to_string(cands[i].entry.records) + " records, file holds " +
-                            std::to_string(out.loaded.trace.size()));
-    }
-    return out;
+  // Each task owns its mapping, output slot and stats slot.
+  std::vector<RangeScanStats> per_entry(cands.size());
+  std::vector<LoadedTrace> sliced = parallel_map(cands.size(), [&](std::size_t i) {
+    return LoadedTrace{cands[i], read_entry(directory_, cands[i], q, per_entry[i])};
   });
 
   std::vector<LoadedTrace> out;
   for (std::size_t i = 0; i < sliced.size(); ++i) {
-    if (cands[i].open) {
-      ++local.files_opened;
-      local.chunks_decoded += sliced[i].scan.chunks_decoded;
-      local.chunks_skipped +=
-          sliced[i].scan.chunks_skipped_time + sliced[i].scan.chunks_skipped_rnti;
-    }
-    local.records_out += sliced[i].loaded.trace.size();
-    if (sliced[i].loaded.trace.empty() && !q.keep_empty_entries) continue;
-    out.push_back(std::move(sliced[i].loaded));
+    local.files_opened += per_entry[i].files_opened;
+    local.chunks_decoded += per_entry[i].chunks_decoded;
+    local.chunks_skipped += per_entry[i].chunks_skipped;
+    local.records_out += per_entry[i].records_out;
+    if (!sliced[i].trace.empty()) out.push_back(std::move(sliced[i]));
   }
   if (stats != nullptr) *stats = local;
   return out;

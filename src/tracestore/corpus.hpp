@@ -97,10 +97,6 @@ struct RangeQuery {
   TimeMs t1 = std::numeric_limits<TimeMs>::max();
   std::optional<lte::Rnti> rnti;
   CorpusFilter filter;
-  /// Keep filter-matching entries whose slice decoded empty (with an empty
-  /// trace) instead of dropping them. load_corpus uses this with the full
-  /// range to reproduce load_all() exactly, empty traces included.
-  bool keep_empty_entries = false;
 };
 
 /// What a range_scan did — pruning proof for tests and benchmarks.
@@ -136,8 +132,9 @@ class Corpus {
   /// decoding. Shards whose summary cannot match are skipped unparsed.
   std::vector<CorpusEntry> select(const CorpusFilter& filter) const;
 
-  /// Decodes one entry's trace file (memory-mapped), verifying framing and
-  /// that the file's embedded metadata matches the manifest row.
+  /// Decodes one entry's trace file (memory-mapped), verifying framing,
+  /// that the file's embedded metadata matches the manifest row, and that
+  /// it holds the manifest's record count.
   sniffer::Trace load(const CorpusEntry& entry) const;
 
   /// One decoded trace paired with its manifest entry.
@@ -155,8 +152,8 @@ class Corpus {
   /// Records with time in [q.t0, q.t1] (and matching q.rnti / q.filter),
   /// grouped per entry in seq order. Prunes shards by summary, entries by
   /// manifest time range, and chunks by each file's directory; files
-  /// decode concurrently like load_all. Entries whose slice is empty are
-  /// dropped unless q.keep_empty_entries.
+  /// decode concurrently like load_all, each through the same reader as
+  /// load(). Entries whose slice is empty are dropped.
   std::vector<LoadedTrace> range_scan(const RangeQuery& q, RangeScanStats* stats = nullptr) const;
 
   /// One shard-index row (public so the .cpp's pruning helpers can see it;

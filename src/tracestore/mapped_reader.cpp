@@ -1,6 +1,7 @@
 #include "tracestore/mapped_reader.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "lte/crc.hpp"
@@ -181,7 +182,7 @@ struct MappedReader::Impl {
       c.time_max = c.time_min + static_cast<TimeMs>(span);
       c.rnti_bloom = dr.get_u64_le();
       // Records are time-ordered, so consecutive chunks' ranges may touch
-      // but never step back; scan()'s binary search relies on it.
+      // but never step back; the cursor's binary search relies on it.
       if (!chunks.empty() && c.time_min < chunks.back().time_max) {
         dr.fail("entry " + std::to_string(i) + ": time range starts at " +
                 std::to_string(c.time_min) + " ms, before the previous chunk ends at " +
@@ -307,56 +308,47 @@ const std::vector<ChunkInfo>& MappedReader::chunks() const { return impl_->chunk
 
 sniffer::Trace MappedReader::read_all() const {
   sniffer::Trace trace;
-  for (std::size_t i = 0; i < impl_->chunks.size(); ++i) {
-    const std::vector<sniffer::TraceRecord> recs = impl_->decode_chunk(i);
-    trace.insert(trace.end(), recs.begin(), recs.end());
-  }
+  cursor().drain(trace);
   return trace;
-}
-
-sniffer::Trace MappedReader::scan(TimeMs t0, TimeMs t1, std::optional<lte::Rnti> rnti,
-                                  ScanStats* stats) const {
-  ScanStats local;
-  sniffer::Trace out;
-  const auto keep = [&](const sniffer::TraceRecord& rec) {
-    return rec.time >= t0 && rec.time <= t1 && (!rnti.has_value() || rec.rnti == *rnti);
-  };
-
-  const std::vector<ChunkInfo>& chunks = impl_->chunks;
-  local.chunks_total = chunks.size();
-  // The directory is time-ordered (checked at open): binary-search the
-  // first chunk that can intersect [t0, t1], and stop at the first one
-  // past it.
-  const std::size_t begin = static_cast<std::size_t>(
-      std::lower_bound(chunks.begin(), chunks.end(), t0,
-                       [](const ChunkInfo& c, TimeMs t) { return c.time_max < t; }) -
-      chunks.begin());
-  local.chunks_skipped_time += begin;
-  for (std::size_t i = begin; i < chunks.size(); ++i) {
-    const ChunkInfo& c = chunks[i];
-    if (c.time_min > t1) {
-      local.chunks_skipped_time += chunks.size() - i;
-      break;
-    }
-    if (rnti.has_value() && !rnti_bloom_may_contain(c.rnti_bloom, *rnti)) {
-      ++local.chunks_skipped_rnti;
-      continue;
-    }
-    ++local.chunks_decoded;
-    for (const sniffer::TraceRecord& rec : impl_->decode_chunk(i)) {
-      if (keep(rec)) out.push_back(rec);
-    }
-  }
-  local.records_out = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
 }
 
 struct MappedReader::Cursor::State {
   const Impl* impl = nullptr;
-  std::size_t chunk_index = 0;
+  TimeMs t0 = 0;
+  TimeMs t1 = 0;
+  std::optional<lte::Rnti> rnti;
+  std::size_t chunk_index = 0;  // next directory entry to consider
   std::vector<sniffer::TraceRecord> pending;
   std::size_t pending_pos = 0;
+  std::size_t decoded = 0;
+  std::size_t skipped = 0;
+
+  bool keep(const sniffer::TraceRecord& rec) const {
+    return rec.time >= t0 && rec.time <= t1 && (!rnti.has_value() || rec.rnti == *rnti);
+  }
+
+  /// Decodes the next chunk that can hold a match into `pending`; false
+  /// once no chunk is left before t1.
+  bool load_next_chunk() {
+    const std::vector<ChunkInfo>& chunks = impl->chunks;
+    for (; chunk_index < chunks.size(); ++chunk_index) {
+      const ChunkInfo& c = chunks[chunk_index];
+      if (c.time_min > t1) break;
+      if (rnti.has_value() && !rnti_bloom_may_contain(c.rnti_bloom, *rnti)) {
+        ++skipped;
+        continue;
+      }
+      // Assigned only once the chunk passed its checks, so a cursor that
+      // threw never yields a record of the rejected chunk.
+      pending = impl->decode_chunk(chunk_index++);
+      pending_pos = 0;
+      ++decoded;
+      return true;
+    }
+    skipped += chunks.size() - chunk_index;
+    chunk_index = chunks.size();
+    return false;
+  }
 };
 
 MappedReader::Cursor::Cursor(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -366,18 +358,54 @@ MappedReader::Cursor& MappedReader::Cursor::operator=(Cursor&&) noexcept = defau
 
 bool MappedReader::Cursor::next(sniffer::TraceRecord& record) {
   State& st = *state_;
-  while (st.pending_pos >= st.pending.size()) {
-    if (st.chunk_index >= st.impl->chunks.size()) return false;
-    st.pending = st.impl->decode_chunk(st.chunk_index++);
-    st.pending_pos = 0;
+  for (;;) {
+    while (st.pending_pos < st.pending.size()) {
+      const sniffer::TraceRecord& rec = st.pending[st.pending_pos++];
+      if (st.keep(rec)) {
+        record = rec;
+        return true;
+      }
+    }
+    if (!st.load_next_chunk()) return false;
   }
-  record = st.pending[st.pending_pos++];
-  return true;
 }
 
-MappedReader::Cursor MappedReader::cursor() const {
+void MappedReader::Cursor::drain(sniffer::Trace& out) {
+  State& st = *state_;
+  do {
+    const auto first = st.pending.begin() + static_cast<std::ptrdiff_t>(st.pending_pos);
+    // A decoded chunk is time-ordered, so with no RNTI filter it is kept
+    // whole when its first and last remaining records are: one append.
+    if (!st.rnti.has_value() && first != st.pending.end() && st.keep(*first) &&
+        st.keep(st.pending.back())) {
+      out.insert(out.end(), first, st.pending.end());
+    } else {
+      std::copy_if(first, st.pending.end(), std::back_inserter(out),
+                   [&st](const sniffer::TraceRecord& rec) { return st.keep(rec); });
+    }
+    st.pending_pos = st.pending.size();
+  } while (st.load_next_chunk());
+}
+
+std::size_t MappedReader::Cursor::chunks_decoded() const { return state_->decoded; }
+std::size_t MappedReader::Cursor::chunks_skipped() const { return state_->skipped; }
+
+MappedReader::Cursor MappedReader::cursor(TimeMs t0, TimeMs t1,
+                                          std::optional<lte::Rnti> rnti) const {
   auto state = std::make_unique<Cursor::State>();
   state->impl = impl_.get();
+  state->t0 = t0;
+  state->t1 = t1;
+  state->rnti = rnti;
+  // The directory is time-ordered (checked at open): binary-search the
+  // first chunk that can intersect [t0, t1]; every chunk before it is
+  // skipped unread.
+  const std::vector<ChunkInfo>& chunks = impl_->chunks;
+  state->chunk_index = static_cast<std::size_t>(
+      std::lower_bound(chunks.begin(), chunks.end(), t0,
+                       [](const ChunkInfo& c, TimeMs t) { return c.time_max < t; }) -
+      chunks.begin());
+  state->skipped = state->chunk_index;
   return Cursor(std::move(state));
 }
 

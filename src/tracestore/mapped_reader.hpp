@@ -3,18 +3,20 @@
 // Files carry a chunk directory (see format.hpp): at open, MappedReader
 // validates ONLY the header, metadata chunk, trailer, directory frame and
 // end chunk — O(directory), never the record payloads. Record chunks are
-// decoded lazily, one at a time, straight out of the mapping:
+// decoded lazily, one at a time, straight out of the mapping, and one
+// ranged cursor is the only code that walks the directory:
 //
-//   - scan(t0, t1, rnti) prunes by the directory's per-chunk time range
-//     and RNTI bloom before touching a chunk's pages; the directory is
-//     time-ordered (checked at open), so the first candidate is found by
-//     binary search and a narrow slice of a large file costs
-//     O(log chunks + matching chunks).
-//   - cursor() streams chunk by chunk in O(one chunk) memory, which is
-//     what ReplaySource's k-way merge wants.
-//   - read_all() decodes everything and additionally cross-checks every
-//     directory entry (record count, time range, RNTI bloom) against the
-//     decoded records — the strict whole-file integrity mode.
+//   - cursor(t0, t1, rnti) binary-searches the time-ordered directory
+//     (checked at open) for the first chunk that can intersect [t0, t1],
+//     skips chunks by time range and RNTI bloom before touching their
+//     pages, stops at the first chunk past t1, and yields only matching
+//     records. A narrow slice of a large file costs O(log chunks +
+//     matching chunks); memory is one decoded chunk. Once drained it
+//     reports how many chunks it decoded and skipped.
+//   - read_all() drains an unranged cursor. Every chunk decode
+//     cross-checks its directory entry (record count, time range, RNTI
+//     bloom) against the decoded records, so a full drain is the strict
+//     whole-file integrity mode.
 //
 // A version byte other than kFormatVersionV2 is rejected at open.
 //
@@ -24,8 +26,9 @@
 // at decode time against the directory's claims, and decoded chunk stats
 // must reproduce the directory entry exactly. A directory whose chunk time
 // ranges step backwards is rejected at open, and a chunk whose records go
-// back in time at decode. A forged directory yields a TraceStoreError,
-// never an out-of-range read.
+// back in time at decode; a cursor yields no record of a chunk that failed
+// its checks. A forged directory yields a TraceStoreError, never an
+// out-of-range read.
 //
 // Lifetime: a MappedReader borrows nothing from callers (it owns its
 // MappedFile) except when constructed over a caller-provided span; decoded
@@ -34,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -44,15 +48,6 @@
 #include "tracestore/format.hpp"
 
 namespace ltefp::tracestore {
-
-/// What a scan() call did — proof of pruning for tests and benchmarks.
-struct ScanStats {
-  std::size_t chunks_total = 0;
-  std::size_t chunks_decoded = 0;
-  std::size_t chunks_skipped_time = 0;
-  std::size_t chunks_skipped_rnti = 0;
-  std::size_t records_out = 0;
-};
 
 class MappedReader {
  public:
@@ -78,18 +73,13 @@ class MappedReader {
   /// The chunk directory, one entry per record chunk.
   const std::vector<ChunkInfo>& chunks() const;
 
-  /// Full strict decode: every chunk, each verified against its directory
-  /// entry.
+  /// Full strict decode: drains an unranged cursor.
   sniffer::Trace read_all() const;
 
-  /// Records with time in [t0, t1] (and matching `rnti`, when given), in
-  /// file order. Chunks are pruned via the directory; `stats`, when
-  /// non-null, reports the pruning achieved.
-  sniffer::Trace scan(TimeMs t0, TimeMs t1, std::optional<lte::Rnti> rnti = std::nullopt,
-                      ScanStats* stats = nullptr) const;
-
-  /// Streaming cursor over all records, one decoded chunk resident at a
-  /// time. The cursor borrows the reader — the reader must outlive it.
+  /// Streaming cursor over the records with time in [t0, t1] (and
+  /// matching `rnti`, when given), in file order, one decoded chunk
+  /// resident at a time. The cursor borrows the reader — the reader must
+  /// outlive it.
   class Cursor {
    public:
     ~Cursor();
@@ -98,9 +88,19 @@ class MappedReader {
     Cursor(const Cursor&) = delete;
     Cursor& operator=(const Cursor&) = delete;
 
-    /// Yields the next record; false at a clean end of trace. Throws
-    /// TraceStoreError on any integrity problem.
+    /// Yields the next matching record; false at a clean end of the
+    /// range. Throws TraceStoreError on any integrity problem.
     bool next(sniffer::TraceRecord& record);
+
+    /// Appends every remaining matching record to `out` — what a loop
+    /// over next() would yield, a chunk at a time.
+    void drain(sniffer::Trace& out);
+
+    /// Chunks decoded and chunks skipped (by the directory's time ranges
+    /// and RNTI blooms) so far; once next() has returned false, or drain()
+    /// has returned, they sum to chunks().size().
+    std::size_t chunks_decoded() const;
+    std::size_t chunks_skipped() const;
 
    private:
     friend class MappedReader;
@@ -108,7 +108,9 @@ class MappedReader {
     explicit Cursor(std::unique_ptr<State> state);
     std::unique_ptr<State> state_;
   };
-  Cursor cursor() const;
+  Cursor cursor(TimeMs t0 = std::numeric_limits<TimeMs>::min(),
+                TimeMs t1 = std::numeric_limits<TimeMs>::max(),
+                std::optional<lte::Rnti> rnti = std::nullopt) const;
 
  private:
   struct Impl;

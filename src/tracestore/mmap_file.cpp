@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <utility>
 
@@ -15,33 +14,14 @@
 namespace ltefp::tracestore {
 namespace {
 
-// 0 = not yet decided (consult the environment), 1 = on, 2 = off.
-std::atomic<int> g_mmap_state{0};
-
-int env_mmap_state() {
-  const char* v = std::getenv("LTEFP_MMAP");
-  if (v == nullptr) return 1;
-  const std::string s(v);
-  return (s == "0" || s == "off" || s == "false") ? 2 : 1;
-}
+std::atomic<bool> g_mmap_enabled{true};
 
 }  // namespace
 
-bool mmap_enabled() {
-  int state = g_mmap_state.load(std::memory_order_relaxed);
-  if (state == 0) {
-    state = env_mmap_state();
-    g_mmap_state.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
-
-void set_mmap_enabled(bool enabled) {
-  g_mmap_state.store(enabled ? 1 : 2, std::memory_order_relaxed);
-}
+void set_mmap_enabled(bool enabled) { g_mmap_enabled.store(enabled, std::memory_order_relaxed); }
 
 MappedFile::MappedFile(const std::string& path) {
-  if (mmap_enabled()) {
+  if (g_mmap_enabled.load(std::memory_order_relaxed)) {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) throw TraceStoreError(path + ": cannot open trace file");
     struct stat st = {};

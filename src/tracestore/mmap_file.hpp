@@ -1,8 +1,8 @@
 // Read-only memory-mapped file with a heap-read fallback.
 //
-// MappedFile owns either an mmap(2) mapping or (when mapping is disabled
-// via LTEFP_MMAP=0 / set_mmap_enabled(false), or fails at runtime) a heap
-// buffer holding the whole file. Either way `bytes()` exposes the file
+// MappedFile owns either an mmap(2) mapping or (when mmap fails at
+// runtime, or tests disable it with set_mmap_enabled(false)) a heap buffer
+// holding the whole file. Either way `bytes()` exposes the file
 // image as one contiguous span.
 //
 // Lifetime rule, load-bearing for everything built on top: spans handed
@@ -20,10 +20,9 @@
 
 namespace ltefp::tracestore {
 
-/// Process-wide knob: whether MappedFile uses mmap (default) or reads the
-/// file onto the heap. Initialised from the LTEFP_MMAP environment variable
-/// ("0"/"off"/"false" disable) on first query; set_mmap_enabled overrides.
-bool mmap_enabled();
+/// Process-wide switch: whether MappedFile tries mmap (the default) or
+/// reads the file onto the heap — the seam tests use to exercise the
+/// heap fallback that otherwise runs only when mmap fails.
 void set_mmap_enabled(bool enabled);
 
 class MappedFile {
@@ -46,9 +45,6 @@ class MappedFile {
     }
     return {heap_.data(), heap_.size()};
   }
-
-  /// True when backed by an actual mapping (false: heap fallback or empty).
-  bool is_mapped() const { return map_ != nullptr; }
 
  private:
   void release() noexcept;

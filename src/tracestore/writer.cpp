@@ -91,8 +91,8 @@ void Writer::flush_chunk() {
   chunk_records_ = 0;
 }
 
-void Writer::close() {
-  if (closed_) return;
+std::size_t Writer::close() {
+  if (closed_) return bytes_written_;
   flush_chunk();
   ByteWriter end;
   end.put_varint(total_records_);
@@ -100,6 +100,7 @@ void Writer::close() {
   write_directory();
   closed_ = true;
   out_.flush();
+  return bytes_written_;
 }
 
 void Writer::write_directory() {
@@ -154,8 +155,7 @@ std::size_t write_trace(std::ostream& out, const TraceMeta& meta, const sniffer:
                         WriterOptions options) {
   Writer writer(out, meta, options);
   for (const auto& r : trace) writer.add(r);
-  writer.close();
-  return writer.bytes_written();
+  return writer.close();
 }
 
 }  // namespace ltefp::tracestore

@@ -54,14 +54,11 @@ class Writer {
   void add(const sniffer::TraceRecord& record);
 
   /// Flushes buffered records and writes the 'E' chunk, the chunk
-  /// directory and the trailer. Idempotent.
-  void close();
+  /// directory and the trailer; returns the file's size in bytes.
+  /// Idempotent.
+  std::size_t close();
 
   std::size_t records_written() const { return total_records_; }
-  /// Bytes emitted so far (header + framed chunks).
-  std::size_t bytes_written() const { return bytes_written_; }
-  /// Directory entries accumulated so far (one per flushed record chunk).
-  const std::vector<ChunkInfo>& chunk_infos() const { return chunks_; }
 
  private:
   void flush_chunk();

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -31,6 +32,7 @@
 #include "stream/session.hpp"
 #include "stream/verdict.hpp"
 #include "tracestore/corpus.hpp"
+#include "v2_image_builder.hpp"
 
 namespace ltefp {
 namespace {
@@ -342,19 +344,58 @@ TEST(StreamReplay, MergesCorpusByTimeThenLane) {
   fs::remove_all(dir);
 }
 
-TEST(StreamReplay, RejectsNegativeSpeedAndMissingCorpus) {
+TEST(StreamReplay, RejectsMissingCorpus) {
   EXPECT_THROW(stream::ReplaySource("/nonexistent/corpus"), std::exception);
-  const std::string dir = testing::TempDir() + "ltefp_stream_replay_speed";
-  fs::remove_all(dir);
-  {
-    tracestore::CorpusWriter writer(dir);
-    tracestore::TraceMeta meta;
-    writer.add(meta, synth_trace(1, 10, 0));
-    writer.finish();
+}
+
+TEST(StreamReplay, RejectsLaneWhoseRecordsGoBackInTime) {
+  // Lane 0 is honest; lane 1's file is swapped for a CRC-valid image whose
+  // records step back in time, either inside its second chunk (the
+  // directory gives nothing away, so the lane yields records before the
+  // error) or across its two chunks (caught at open). Every record yielded
+  // before the error is in merge order.
+  const std::string dir = testing::TempDir() + "ltefp_stream_replay_regress";
+  const auto at = [](TimeMs t) {
+    return sniffer::TraceRecord{t, 0x100, lte::Direction::kDownlink, 100, 1};
+  };
+  const std::vector<std::pair<std::vector<sniffer::Trace>, std::size_t>> cases = {
+      // {chunks, lane-1 records yielded}: a lane holds one record ahead, so
+      // taking its head 200 decodes (and rejects) the second chunk before
+      // 200 is returned.
+      {{{at(100), at(200)}, {at(300), at(500), at(400)}}, 1},
+      {{{at(100), at(400)}, {at(300), at(500)}}, 0}};
+  for (const auto& [chunks, lane1_yielded] : cases) {
+    fs::remove_all(dir);
+    const tracestore::TraceMeta meta;
+    {
+      tracestore::CorpusWriter writer(dir);
+      writer.add(meta, synth_trace(3, 40, 0));
+      writer.add(meta, {at(100), at(200)});
+      writer.finish();
+    }
+    const std::string image = tracestore::test_images::build_v2(meta, chunks);
+    std::ofstream(dir + "/" + tracestore::Corpus::open(dir).entries()[1].file, std::ios::binary)
+        .write(image.data(), static_cast<std::streamsize>(image.size()));
+
+    std::vector<stream::StreamRecord> yielded;
+    try {
+      stream::ReplaySource source(dir);
+      stream::StreamRecord r;
+      while (source.next(r)) yielded.push_back(r);
+      ADD_FAILURE() << "a lane whose records go back in time replayed to the end";
+    } catch (const tracestore::TraceStoreError&) {
+    }
+    EXPECT_EQ(std::count_if(yielded.begin(), yielded.end(),
+                            [](const stream::StreamRecord& r) { return r.lane == 1; }),
+              static_cast<std::ptrdiff_t>(lane1_yielded));
+    for (std::size_t i = 1; i < yielded.size(); ++i) {
+      const auto& a = yielded[i - 1];
+      const auto& b = yielded[i];
+      ASSERT_TRUE(a.record.time < b.record.time ||
+                  (a.record.time == b.record.time && a.lane <= b.lane))
+          << "merge order violated at " << i;
+    }
   }
-  EXPECT_THROW(stream::ReplaySource(dir, -1.0), std::invalid_argument);
-  stream::ReplaySource paced(dir, 100.0);
-  EXPECT_EQ(paced.speed(), 100.0);
   fs::remove_all(dir);
 }
 

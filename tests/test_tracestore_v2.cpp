@@ -7,9 +7,9 @@
 //  - hardening: every single-byte flip, truncation and forged-directory
 //    image is rejected with a TraceStoreError, never an OOB read or a
 //    giant allocation;
-//  - pruning is EXACT: scan()/range_scan() results equal the brute-force
-//    filtered full decode while the stats prove chunks/entries/shards
-//    were actually skipped.
+//  - pruning is EXACT: ranged cursors and range_scan() yield the
+//    brute-force filtered full decode while their counts prove
+//    chunks/entries/shards were actually skipped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,9 +33,12 @@
 #include "tracestore/synth.hpp"
 #include "tracestore/varint.hpp"
 #include "tracestore/writer.hpp"
+#include "v2_image_builder.hpp"
 
 namespace ltefp::tracestore {
 namespace {
+
+using namespace test_images;
 
 TraceMeta sample_meta() {
   TraceMeta meta;
@@ -95,6 +98,16 @@ sniffer::Trace mapped_read_all(const std::string& image) {
   return MappedReader(as_span(image)).read_all();
 }
 
+/// Everything a cursor's next() yields until it reports the end of its
+/// range (Cursor::drain is the batch form, exercised by read_all and the
+/// corpus reads).
+sniffer::Trace next_all(MappedReader::Cursor& cursor) {
+  sniffer::Trace out;
+  sniffer::TraceRecord record;
+  while (cursor.next(record)) out.push_back(record);
+  return out;
+}
+
 sniffer::Trace brute_filter(const sniffer::Trace& trace, TimeMs t0, TimeMs t1,
                             std::optional<lte::Rnti> rnti = std::nullopt) {
   sniffer::Trace out;
@@ -127,95 +140,6 @@ struct ThreadGuard {
   int saved = thread_count();
   ~ThreadGuard() { set_thread_count(saved); }
 };
-
-// --- Hand-rolled v2 image builder for forged-directory tests. The honest
-// output is byte-identical to Writer's (pinned by a test below), and a
-// `mutate` hook can tamper with the directory entries / declared count
-// while every CRC stays valid — exactly the forgeries a reader must catch
-// semantically, not via framing checks. ---
-
-void append_chunk(std::string& image, std::uint8_t kind,
-                  const std::vector<std::uint8_t>& payload) {
-  ByteWriter frame;
-  frame.put_u8(kind);
-  frame.put_varint(payload.size());
-  for (const std::uint8_t b : payload) frame.put_u8(b);
-  const std::uint16_t crc = lte::crc16(payload);
-  frame.put_u8(static_cast<std::uint8_t>(crc & 0xFF));
-  frame.put_u8(static_cast<std::uint8_t>(crc >> 8));
-  for (const std::uint8_t b : frame.bytes()) image.push_back(static_cast<char>(b));
-}
-
-std::vector<std::uint8_t> encode_directory(const std::vector<ChunkInfo>& infos,
-                                           std::optional<std::uint64_t> count_override = {}) {
-  ByteWriter dir;
-  dir.put_varint(count_override.value_or(infos.size()));
-  std::uint64_t prev_offset = 0;
-  for (const ChunkInfo& c : infos) {
-    dir.put_varint(c.offset - prev_offset);
-    prev_offset = c.offset;
-    dir.put_varint(c.payload_len);
-    dir.put_varint(c.records);
-    dir.put_signed(c.time_min);
-    dir.put_varint(static_cast<std::uint64_t>(c.time_max - c.time_min));
-    dir.put_u64_le(c.rnti_bloom);
-  }
-  return dir.bytes();
-}
-
-void append_trailer(std::string& image, std::uint64_t dir_offset) {
-  ByteWriter trailer;
-  trailer.put_u64_le(dir_offset);
-  const std::uint16_t crc = lte::crc16(trailer.bytes());
-  trailer.put_u8(static_cast<std::uint8_t>(crc & 0xFF));
-  trailer.put_u8(static_cast<std::uint8_t>(crc >> 8));
-  for (const char ch : kTrailerMagic) trailer.put_u8(static_cast<std::uint8_t>(ch));
-  for (const std::uint8_t b : trailer.bytes()) image.push_back(static_cast<char>(b));
-}
-
-using DirectoryMutator = std::function<void(std::vector<ChunkInfo>&, std::uint64_t&)>;
-
-std::string build_v2(const TraceMeta& meta, const std::vector<sniffer::Trace>& chunk_traces,
-                     const DirectoryMutator& mutate = {},
-                     std::optional<std::uint64_t> dir_count_override = {}) {
-  std::string image(kMagic, sizeof(kMagic));
-  image.push_back(static_cast<char>(kFormatVersionV2));
-  image.push_back(0);  // flags: no compression
-  append_chunk(image, kChunkMeta, encode_meta(meta).bytes());
-
-  std::vector<ChunkInfo> infos;
-  std::uint64_t total = 0;
-  for (const auto& records : chunk_traces) {
-    ByteWriter payload;
-    payload.put_varint(records.size());
-    RecordEncodeState state;  // v2 chunks are self-contained
-    ChunkInfo info;
-    info.offset = image.size();
-    info.records = records.size();
-    info.time_min = info.time_max = records.front().time;
-    for (const auto& r : records) {
-      info.time_min = std::min(info.time_min, r.time);
-      info.time_max = std::max(info.time_max, r.time);
-      info.rnti_bloom |= rnti_bloom_mask(r.rnti);
-      encode_record(payload, state, r);
-    }
-    info.payload_len = payload.size();
-    append_chunk(image, kChunkRecords, payload.bytes());
-    infos.push_back(info);
-    total += records.size();
-  }
-
-  if (mutate) mutate(infos, total);
-
-  ByteWriter end;
-  end.put_varint(total);
-  append_chunk(image, kChunkEnd, end.bytes());
-
-  const std::uint64_t dir_offset = image.size();
-  append_chunk(image, kChunkDirectory, encode_directory(infos, dir_count_override));
-  append_trailer(image, dir_offset);
-  return image;
-}
 
 // --- Round trips. ---
 
@@ -295,15 +219,14 @@ TEST(MappedV2Property, MappedAndStreamingDecodesAgreeOnBothVersions) {
       const MappedReader reader(as_span(*img));
       EXPECT_EQ(reader.meta(), meta);
       auto cursor = reader.cursor();
-      sniffer::Trace streamed;
-      sniffer::TraceRecord record;
-      while (cursor.next(record)) streamed.push_back(record);
-      ASSERT_EQ(streamed, trace) << "cursor iter " << iter;
+      ASSERT_EQ(next_all(cursor), trace) << "cursor iter " << iter;
+      EXPECT_EQ(cursor.chunks_decoded(), reader.chunks().size());
+      EXPECT_EQ(cursor.chunks_skipped(), 0u);
     }
   }
 }
 
-// --- scan(): pruning must be provable AND exact. ---
+// --- Ranged cursors: pruning must be provable AND exact. ---
 
 TEST(MappedV2Scan, TimeSliceMatchesBruteForceAndSkipsChunks) {
   Rng rng(11);
@@ -327,17 +250,23 @@ TEST(MappedV2Scan, TimeSliceMatchesBruteForceAndSkipsChunks) {
            {trace.back().time, t + 1},  // tail
            {t + 100, t + 200},          // past the end: empty
            {0, t}}) {                   // everything
-    ScanStats stats;
-    EXPECT_EQ(reader.scan(t0, t1, std::nullopt, &stats), brute_filter(trace, t0, t1));
-    EXPECT_EQ(stats.chunks_total, reader.chunks().size());
-    EXPECT_EQ(stats.chunks_decoded + stats.chunks_skipped_time + stats.chunks_skipped_rnti,
-              stats.chunks_total);
+    auto cursor = reader.cursor(t0, t1);
+    EXPECT_EQ(next_all(cursor), brute_filter(trace, t0, t1));
+    EXPECT_EQ(cursor.chunks_decoded() + cursor.chunks_skipped(), reader.chunks().size());
+    // drain() after one next() yields the rest, also from inside a chunk.
+    auto batch = reader.cursor(t0, t1);
+    sniffer::Trace drained(1);
+    if (!batch.next(drained.front())) drained.clear();
+    batch.drain(drained);
+    EXPECT_EQ(drained, brute_filter(trace, t0, t1));
+    EXPECT_EQ(batch.chunks_decoded(), cursor.chunks_decoded());
+    EXPECT_EQ(batch.chunks_skipped(), cursor.chunks_skipped());
   }
 
-  ScanStats narrow;
-  reader.scan(mid, mid + 100, std::nullopt, &narrow);
-  EXPECT_GT(narrow.chunks_skipped_time, 0u) << "narrow slice decoded every chunk";
-  EXPECT_LT(narrow.chunks_decoded, reader.chunks().size() / 2);
+  auto narrow = reader.cursor(mid, mid + 100);
+  next_all(narrow);
+  EXPECT_GT(narrow.chunks_skipped(), 0u) << "narrow slice decoded every chunk";
+  EXPECT_LT(narrow.chunks_decoded(), reader.chunks().size() / 2);
 }
 
 TEST(MappedV2Scan, RntiBloomPrunesForeignChunks) {
@@ -356,15 +285,17 @@ TEST(MappedV2Scan, RntiBloomPrunesForeignChunks) {
   const MappedReader reader(as_span(image));
   ASSERT_EQ(reader.chunks().size(), 6u);
 
-  ScanStats stats;
   const lte::Rnti target = 0x103;
-  const sniffer::Trace hits =
-      reader.scan(0, 1'000'000, target, &stats);
+  auto cursor = reader.cursor(0, 1'000'000, target);
+  const sniffer::Trace hits = next_all(cursor);
   EXPECT_EQ(hits, brute_filter(trace, 0, 1'000'000, target));
   EXPECT_EQ(hits.size(), 16u);
-  EXPECT_GE(stats.chunks_skipped_rnti + stats.chunks_skipped_time, 4u)
-      << "blooms pruned nothing";
-  EXPECT_LE(stats.chunks_decoded, 2u);
+  EXPECT_GE(cursor.chunks_skipped(), 4u) << "blooms pruned nothing";
+  EXPECT_LE(cursor.chunks_decoded(), 2u);
+  EXPECT_EQ(cursor.chunks_decoded() + cursor.chunks_skipped(), reader.chunks().size());
+  sniffer::Trace drained;
+  reader.cursor(0, 1'000'000, target).drain(drained);
+  EXPECT_EQ(drained, hits);
 }
 
 // --- Corruption: flips, truncations, unknown flags. ---
@@ -582,6 +513,11 @@ TEST(MappedV2Forged, UnorderedRecordsAreCaughtAtDecode) {
     EXPECT_NE(std::string(e.what()).find("precedes its predecessor"), std::string::npos)
         << e.what();
   }
+  // A cursor that threw yields none of the rejected chunk's records after.
+  auto cursor = reader.cursor();
+  sniffer::TraceRecord record;
+  EXPECT_THROW(cursor.next(record), TraceStoreError);
+  EXPECT_FALSE(cursor.next(record));
 }
 
 // Builds a CRC-valid file whose directory tiles the body honestly and
@@ -748,17 +684,18 @@ TEST_F(MmapToggleTest, HeapFallbackDecodesIdentically) {
   EXPECT_EQ(via_mmap, trace);
   EXPECT_EQ(via_heap, trace);
 
-  // The scan path too — pruning decisions must not depend on the backing.
+  // Ranged cursors too — pruning decisions must not depend on the backing.
   set_mmap_enabled(true);
   const MappedReader mapped(path);
   set_mmap_enabled(false);
   const MappedReader heap(path);
   const TimeMs t0 = trace[100].time;
   const TimeMs t1 = trace[300].time;
-  ScanStats sm, sh;
-  EXPECT_EQ(mapped.scan(t0, t1, std::nullopt, &sm), heap.scan(t0, t1, std::nullopt, &sh));
-  EXPECT_EQ(sm.chunks_decoded, sh.chunks_decoded);
-  EXPECT_EQ(sm.chunks_skipped_time, sh.chunks_skipped_time);
+  auto cm = mapped.cursor(t0, t1);
+  auto ch = heap.cursor(t0, t1);
+  EXPECT_EQ(next_all(cm), next_all(ch));
+  EXPECT_EQ(cm.chunks_decoded(), ch.chunks_decoded());
+  EXPECT_EQ(cm.chunks_skipped(), ch.chunks_skipped());
 }
 
 // --- Corpus: shard manifests and range scans. ---
@@ -896,18 +833,32 @@ TEST_F(CorpusV2Test, RangeScanMatchesFilteredLoadAllAtAnyThreadCount) {
     std::vector<Corpus::LoadedTrace> expect;
     for (auto& loaded : corpus.load_all(q.filter)) {
       sniffer::Trace kept = brute_filter(loaded.trace, q.t0, q.t1, q.rnti);
-      if (kept.empty() && !q.keep_empty_entries) continue;
+      if (kept.empty()) continue;
       expect.push_back({loaded.entry, std::move(kept)});
     }
     return expect;
   };
 
+  // Every opened file's chunks are either decoded or skipped, once each.
+  const auto chunks_in_opened_files = [&](const RangeQuery& q) {
+    std::size_t chunks = 0;
+    for (const auto& e : corpus.select(q.filter)) {
+      if (e.records > 0 && e.t1_ms >= q.t0 && e.t0_ms <= q.t1) {
+        chunks += MappedReader(cdir + "/" + e.file).chunks().size();
+      }
+    }
+    return chunks;
+  };
+
   ThreadGuard guard;
   for (const auto& q : queries) {
     const auto expect = brute(q);
+    const std::size_t chunks = chunks_in_opened_files(q);
     for (const int threads : {1, 2, 8}) {
       set_thread_count(threads);
-      const auto got = corpus.range_scan(q);
+      RangeScanStats stats;
+      const auto got = corpus.range_scan(q, &stats);
+      EXPECT_EQ(stats.chunks_decoded + stats.chunks_skipped, chunks) << "threads=" << threads;
       ASSERT_EQ(got.size(), expect.size()) << "threads=" << threads;
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].entry.seq, expect[i].entry.seq) << "threads=" << threads;
@@ -957,6 +908,7 @@ TEST_F(CorpusV2Test, RangeScanPrunesShardsEntriesAndChunks) {
   EXPECT_GE(stats.entries_pruned, 1u);
   EXPECT_EQ(stats.files_opened, 1u);
   EXPECT_GT(stats.chunks_skipped, 0u) << "chunk directory pruned nothing";
+  EXPECT_EQ(stats.chunks_decoded + stats.chunks_skipped, 8u);
   EXPECT_EQ(stats.records_out, got[0].trace.size());
 
   // A filter that matches nothing prunes every shard by app mask alone.

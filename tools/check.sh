@@ -8,9 +8,9 @@
 #      prints per-rule finding counts + wall time and writes a machine-
 #      readable report to build-check/lint-findings.json)
 #   3. the tier-1 ctest suite (including the `golden` output digests), then
-#      the forced-scalar suites and the CLI smokes (synth -> scan, an
-#      unknown flag rejected, live synth, train -> collect -> classify) and
-#      e2ebench/smoke_test.py
+#      the forced-scalar suites and the CLI smokes (synth -> scan, a
+#      negative replay --speed rejected, an unknown flag rejected, live
+#      synth, train -> collect -> classify) and e2ebench/smoke_test.py
 #   4. when the compiler supports them: the ASan+UBSan decoder suites and
 #      the TSan parallel/attack suites (skip with --no-sanitizers)
 #
@@ -62,8 +62,9 @@ done
 
 # The benchmark set tracked in BENCH_micro.json. Anchored: adding a new
 # benchmark to bench_micro does not silently change this gate — extend the
-# filter (and refresh the baseline) deliberately.
-BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/(1000|100000)$|^BM_SimStepRef/(1000|100000)$|^BM_SimStepPar/8/(1|2|4)$|^BM_SimStepSparse/(1|4)$'
+# filter (and refresh the baseline) deliberately. The city benches pin
+# their iteration counts, which google-benchmark puts in their names.
+BENCH_FILTER='^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/1000/iterations:50000$|^BM_SimStep/100000/iterations:400$|^BM_SimStepRef/1000/iterations:6000$|^BM_SimStepRef/100000/iterations:50$|^BM_SimStepPar/8/(1|2|4)/iterations:100$|^BM_SimStepSparse/(1|4)/iterations:200000$'
 
 run_bench() {
   step "bench build (default config, as the committed baseline)"
@@ -140,7 +141,7 @@ if [[ "$main_gate" == 1 ]]; then
   LTEFP_FORCE_SCALAR=1 ctest --test-dir "$ROOT/build-check" -j"$JOBS" \
     --output-on-failure -R 'FlatForest|Dtw|Stream|Columnar'
 
-  step "synth -> range-scan -> verify smoke (ltefp CLI)"
+  step "synth -> range-scan -> verify smoke, replay --speed check (ltefp CLI)"
   # End-to-end over the v2 corpus path: generate a deterministic sharded
   # compressed corpus, slice it by time, and cross-check the pruned scan
   # against a brute-force full decode (scan --verify throws on mismatch).
@@ -152,6 +153,14 @@ if [[ "$main_gate" == 1 ]]; then
     --t0 3600000 --t1 3900000 --cell 1 --verify true
   "$ROOT/build-check/tools/ltefp" scan --corpus "$smoke_dir" \
     --t0 0 --t1 10800000 --app 0 --verify true
+  # The replay pacer takes only a positive --speed: a negative one exits 1
+  # with a diagnostic before any record is replayed.
+  replay_rc=0
+  "$ROOT/build-check/tools/ltefp" replay --corpus "$smoke_dir" --speed -1 || replay_rc=$?
+  if [[ "$replay_rc" != 1 ]]; then
+    echo "ltefp replay --speed -1 exited $replay_rc, expected 1" >&2
+    exit 1
+  fi
   rm -rf "$smoke_dir"
 
   step "CLI flag check (an unknown flag, or one with no value, is an error naming it)"
@@ -215,10 +224,10 @@ fi
 
 if [[ "$sanitizers" == 1 ]]; then
   if sanitizer_works -fsanitize=address; then
-    step "ASan+UBSan decoder suites (LTEFP_MMAP=1 pins the mmap path)"
+    step "ASan+UBSan decoder suites"
     cmake -B "$ROOT/build-asan" -S "$ROOT" -DLTEFP_SANITIZE=address >/dev/null
     cmake --build "$ROOT/build-asan" -j"$JOBS"
-    LTEFP_MMAP=1 ctest --test-dir "$ROOT/build-asan" -j"$JOBS" --output-on-failure \
+    ctest --test-dir "$ROOT/build-asan" -j"$JOBS" --output-on-failure \
       -R 'TraceStore|Trace|Sniffer|Csv|MappedV2|BlockCodec|MmapToggle|CorpusV2|Synth|Varint'
   else
     echo "ASan unavailable in this toolchain; skipping"

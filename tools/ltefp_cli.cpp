@@ -213,7 +213,7 @@ std::function<void(TimeMs)> make_pacer(double speed) {
 /// speed, reporting achieved throughput — for exercising downstream
 /// consumers and sizing real-time budgets without classification cost.
 int replay_load_generator(const std::string& dir, double speed) {
-  stream::ReplaySource source(dir, speed);
+  stream::ReplaySource source(dir);
   const auto pacer = make_pacer(speed);
   const auto wall_start = std::chrono::steady_clock::now();
   stream::StreamRecord rec;
@@ -283,7 +283,7 @@ int cmd_stream(const Args& args) {
     out = &out_file;
   }
 
-  stream::ReplaySource source(dir, speed);
+  stream::ReplaySource source(dir);
   std::fprintf(stderr, "streaming %zu lanes from %s (%s, batch %lld ms)...\n", source.lanes(),
                dir.c_str(), speed > 0 ? "paced" : "unpaced",
                static_cast<long long>(config.batch_ms));
@@ -426,7 +426,7 @@ int cmd_scan(const Args& args) {
           expect.push_back(r);
         }
       }
-      if (expect.empty() && !query.keep_empty_entries) continue;
+      if (expect.empty()) continue;
       if (si >= slices.size() || slices[si].entry.seq != loaded.entry.seq ||
           slices[si].trace != expect) {
         ++mismatched;
