@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <memory>
-#include <mutex>
-#include <string>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 namespace ltefp {
@@ -16,13 +14,14 @@ namespace {
 
 thread_local bool t_in_region = false;
 
-/// Bounded busy-wait before a worker blocks on the condition variable (and
-/// before the caller blocks on region completion). Event-engine regions are
-/// one subframe's shards — often only microseconds of work, separated by a
-/// short serial merge — so a futex sleep/wake round-trip per region costs
-/// more than the region itself. The spin (with periodic yields, ~tens of
-/// microseconds total) bridges the serial gap; genuinely idle threads still
-/// fall through to the blocking wait. Scheduling-only: no effect on chunk
+/// Bounded busy-wait before a worker blocks in a futex wait for the next
+/// region (and before the caller blocks on region completion).
+/// Event-engine regions are one subframe's shards — often only
+/// microseconds of work, separated by a short serial merge — so a futex
+/// sleep/wake round-trip per region costs more than the region itself. The
+/// spin (with periodic yields, ~tens of microseconds total) bridges the
+/// serial gap; genuinely idle threads still fall through to the blocking
+/// wait. Scheduling-only: no effect on chunk
 /// assignment or results.
 constexpr int kSpinRounds = 1 << 15;
 constexpr int kSpinYieldEvery = 1 << 10;
@@ -36,41 +35,45 @@ inline void spin_backoff(int round) {
 #endif
 }
 
-/// One parallel region: chunks are claimed by atomic index, completion is
-/// counted down, the first exception wins.
+/// The pool's one job slot, reused by every region. The region's caller
+/// writes the plain fields while no chunk is unclaimed, then publishes them
+/// by storing `unclaimed` (release). A participant reads them only after it
+/// has claimed a chunk (acquire), and the caller does not return before
+/// that chunk finishes, so the fields are stable whenever they are read —
+/// also by a worker that woke for an earlier region: a claim that succeeds
+/// is a claim on the region live at that moment.
 struct Job {
-  std::function<void(std::size_t, std::size_t)> body;
+  const ChunkFnRef* body = nullptr;  // the caller's, alive for the region
   std::size_t total = 0;
   std::size_t chunk = 1;
   std::size_t num_chunks = 0;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> remaining{0};
-  std::mutex m;
-  std::condition_variable done;
-  std::exception_ptr error;  // guarded by m
+  std::exception_ptr error;  // written by the first failing chunk only
+  std::atomic<bool> failed{false};
+  std::atomic<std::size_t> unclaimed{0};    // counts down; chunks go in ascending order
+  std::atomic<std::uint32_t> remaining{0};  // unfinished chunks; the caller waits on it
 
-  /// Claims and runs chunks until none remain. Safe from any thread.
+  /// Claims and runs chunks until none remain unclaimed. Safe from any thread.
   void work() {
-    t_in_region = true;
-    for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(total, begin + chunk);
+    std::size_t left = unclaimed.load(std::memory_order_relaxed);
+    while (left != 0) {
+      if (!unclaimed.compare_exchange_weak(left, left - 1, std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+        continue;  // `left` now holds the current count
+      }
+      const std::size_t begin = (num_chunks - left) * chunk;
       try {
-        body(begin, end);
+        (*body)(begin, std::min(total, begin + chunk));
       } catch (...) {
-        std::lock_guard<std::mutex> g(m);
-        if (!error) error = std::current_exception();
+        if (!failed.exchange(true, std::memory_order_relaxed)) error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> g(m);
-        done.notify_all();
-      }
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) remaining.notify_one();
+      left = unclaimed.load(std::memory_order_relaxed);
     }
-    t_in_region = false;
   }
 };
+
+/// `remaining` is 32-bit so the caller's wait is a plain futex on it.
+constexpr std::size_t kMaxChunks = std::numeric_limits<std::uint32_t>::max();
 
 int env_thread_count() {
   const char* env = std::getenv("LTEFP_THREADS");
@@ -83,6 +86,22 @@ int env_thread_count() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+/// Runs every chunk on the calling thread, in ascending order.
+void run_inline(std::size_t n, std::size_t chunk, std::size_t num_chunks, const ChunkFnRef& fn) {
+  const bool outer = !t_in_region;
+  t_in_region = true;
+  try {
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const std::size_t begin = c * chunk;
+      fn(begin, std::min(n, begin + chunk));
+    }
+  } catch (...) {
+    if (outer) t_in_region = false;
+    throw;
+  }
+  if (outer) t_in_region = false;
+}
+
 class Pool {
  public:
   static Pool& instance() {
@@ -91,83 +110,73 @@ class Pool {
   }
 
   int threads() {
-    std::lock_guard<std::mutex> g(m_);
-    return resolve_locked();
+    const int n = threads_.load(std::memory_order_acquire);
+    if (n != 0) return n;
+    // First use: resolve the default once; a racing resolver agrees.
+    int expected = 0;
+    const int resolved = env_thread_count();
+    return threads_.compare_exchange_strong(expected, resolved, std::memory_order_acq_rel)
+               ? resolved
+               : expected;
   }
 
   void set_threads(int n) {
+    // Wait out a region another thread may be running, then rebuild.
+    while (busy_.exchange(true, std::memory_order_acquire)) std::this_thread::yield();
     join_workers();
-    std::lock_guard<std::mutex> g(m_);
-    configured_ = n > 0 ? n : env_thread_count();
+    threads_.store(n > 0 ? n : env_thread_count(), std::memory_order_release);
+    busy_.store(false, std::memory_order_release);
   }
 
-  void run(std::size_t n, std::size_t chunk, const std::function<void(std::size_t, std::size_t)>& fn) {
+  void run(std::size_t n, std::size_t chunk, const ChunkFnRef& fn) {
     if (n == 0) return;
     if (chunk == 0) chunk = 1;
-    int threads;
-    {
-      std::lock_guard<std::mutex> g(m_);
-      threads = resolve_locked();
-    }
     const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    // Serial execution: thread count 1, a nested region, or a single chunk.
-    // Chunks run inline in ascending order — byte-for-byte the serial path.
-    if (threads <= 1 || t_in_region || num_chunks == 1) {
-      const bool outer = !t_in_region;
-      t_in_region = true;
-      try {
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-          const std::size_t begin = c * chunk;
-          fn(begin, std::min(n, begin + chunk));
-        }
-      } catch (...) {
-        if (outer) t_in_region = false;
-        throw;
-      }
-      if (outer) t_in_region = false;
+    if (num_chunks > kMaxChunks) throw std::length_error("parallel_for: too many chunks");
+    const int threads = this->threads();
+    // Serial execution: thread count 1, a nested region, a single chunk, or
+    // a pool that another thread's region holds. Chunks run inline in
+    // ascending order — byte-for-byte the serial path.
+    if (threads <= 1 || t_in_region || num_chunks == 1 ||
+        busy_.exchange(true, std::memory_order_acquire)) {
+      run_inline(n, chunk, num_chunks, fn);
       return;
     }
 
-    // One region at a time: a second top-level caller queues here rather
-    // than corrupting the current job's handoff.
-    std::lock_guard<std::mutex> region(run_m_);
-
-    auto job = std::make_shared<Job>();
-    job->body = fn;
-    job->total = n;
-    job->chunk = chunk;
-    job->num_chunks = num_chunks;
-    job->remaining.store(num_chunks, std::memory_order_relaxed);
-
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      ensure_workers_locked(threads - 1);
-      job_ = job;
-      ++generation_;
-      work_cv_.notify_all();
+    try {
+      ensure_workers(threads - 1);
+    } catch (...) {  // thread creation failed: leave the pool usable
+      busy_.store(false, std::memory_order_release);
+      throw;
     }
+    job_.body = &fn;
+    job_.total = n;
+    job_.chunk = chunk;
+    job_.num_chunks = num_chunks;
+    job_.error = nullptr;
+    job_.failed.store(false, std::memory_order_relaxed);
+    job_.remaining.store(static_cast<std::uint32_t>(num_chunks), std::memory_order_relaxed);
+    job_.unclaimed.store(num_chunks, std::memory_order_release);
+    generation_.fetch_add(1, std::memory_order_seq_cst);
+    generation_.notify_all();
 
-    job->work();  // the caller participates
+    t_in_region = true;
+    job_.work();  // the caller participates
+    t_in_region = false;
 
     // The stragglers are at most (threads - 1) tail chunks; spin through
     // that window before paying for a sleep.
     for (int round = 0;
-         round < kSpinRounds && job->remaining.load(std::memory_order_acquire) != 0; ++round) {
+         round < kSpinRounds && job_.remaining.load(std::memory_order_acquire) != 0; ++round) {
       spin_backoff(round);
     }
-    if (job->remaining.load(std::memory_order_acquire) != 0) {
-      std::unique_lock<std::mutex> jl(job->m);
-      job->done.wait(jl, [&] { return job->remaining.load(std::memory_order_acquire) == 0; });
+    for (std::uint32_t left; (left = job_.remaining.load(std::memory_order_acquire)) != 0;) {
+      job_.remaining.wait(left, std::memory_order_acquire);
     }
-    {
-      std::lock_guard<std::mutex> g(m_);
-      if (job_ == job) job_.reset();
-    }
-    std::exception_ptr error;
-    {
-      std::lock_guard<std::mutex> g(job->m);
-      error = job->error;
-    }
+    const std::exception_ptr error = std::move(job_.error);
+    job_.error = nullptr;
+    job_.body = nullptr;
+    busy_.store(false, std::memory_order_release);
     if (error) std::rethrow_exception(error);
   }
 
@@ -175,64 +184,48 @@ class Pool {
   Pool() = default;
   ~Pool() { join_workers(); }
 
-  int resolve_locked() {
-    if (configured_ == 0) configured_ = env_thread_count();
-    return configured_;
-  }
-
-  void ensure_workers_locked(int wanted) {
+  void ensure_workers(int wanted) {
     while (static_cast<int>(workers_.size()) < wanted) {
       workers_.emplace_back([this] { worker_loop(); });
     }
   }
 
   void join_workers() {
-    std::vector<std::thread> workers;
-    {
-      std::lock_guard<std::mutex> g(m_);
-      stop_ = true;
-      work_cv_.notify_all();
-      workers.swap(workers_);
-    }
-    for (auto& w : workers) w.join();
-    std::lock_guard<std::mutex> g(m_);
-    stop_ = false;
+    stop_.store(true, std::memory_order_seq_cst);
+    generation_.fetch_add(1, std::memory_order_seq_cst);
+    generation_.notify_all();
+    for (auto& w : workers_) w.join();
+    workers_.clear();
+    stop_.store(false, std::memory_order_relaxed);
   }
 
   void worker_loop() {
-    std::uint64_t seen = 0;
+    t_in_region = true;
     for (;;) {
+      // Read the generation before claiming: a region published after this
+      // read changes it, so the wait below cannot sleep through it.
+      const std::uint32_t seen = generation_.load(std::memory_order_acquire);
+      if (stop_.load(std::memory_order_acquire)) return;
+      job_.work();
       // Catch back-to-back regions without a sleep/wake round-trip.
-      for (int round = 0; round < kSpinRounds; ++round) {
-        if (stop_.load(std::memory_order_acquire) ||
-            generation_.load(std::memory_order_acquire) != seen) {
-          break;
-        }
+      for (int round = 0;
+           round < kSpinRounds && generation_.load(std::memory_order_acquire) == seen; ++round) {
         spin_backoff(round);
       }
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock<std::mutex> lk(m_);
-        work_cv_.wait(lk, [&] { return stop_.load(std::memory_order_relaxed) ||
-                                       (job_ && generation_.load(std::memory_order_relaxed) != seen); });
-        if (stop_.load(std::memory_order_relaxed)) return;
-        seen = generation_.load(std::memory_order_relaxed);
-        job = job_;
-      }
-      if (job) job->work();
+      generation_.wait(seen, std::memory_order_acquire);
     }
   }
 
-  std::mutex run_m_;  // serialises top-level parallel regions
-  std::mutex m_;
-  std::condition_variable work_cv_;
-  std::vector<std::thread> workers_;
-  std::shared_ptr<Job> job_;  // guarded by m_
-  // Atomic so sleeping-avoidance spins can poll them without m_; all writes
-  // still happen under m_, keeping the cv predicate race-free.
-  std::atomic<std::uint64_t> generation_{0};
+  Job job_;
+  std::vector<std::thread> workers_;  // touched only by the busy_ holder
+  std::atomic<int> threads_{0};       // 0 = not yet resolved
+  // Held by the one thread running a pool region (or rebuilding the pool).
+  // Never waited on by run(): a caller that finds it taken runs inline.
+  std::atomic<bool> busy_{false};
+  // Bumped once per published region (and at shutdown); idle workers wait
+  // on it.
+  std::atomic<std::uint32_t> generation_{0};
   std::atomic<bool> stop_{false};
-  int configured_ = 0;  // 0 = not yet resolved
 };
 
 }  // namespace
@@ -243,8 +236,7 @@ void set_thread_count(int n) { Pool::instance().set_threads(n); }
 
 bool in_parallel_region() { return t_in_region; }
 
-void parallel_for(std::size_t n, std::size_t chunk,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
+void parallel_for(std::size_t n, std::size_t chunk, ChunkFnRef fn) {
   Pool::instance().run(n, chunk, fn);
 }
 

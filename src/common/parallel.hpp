@@ -12,18 +12,45 @@
 // A count of 1 bypasses the pool entirely: chunks run inline, in order, on
 // the calling thread — exact serial execution, not an emulation of it.
 // Nested parallel regions (a parallel_for inside a worker) also run inline
-// rather than deadlocking the pool.
+// rather than deadlocking the pool, and so does a region whose caller finds
+// the pool busy with another thread's region.
+//
+// A steady-state region takes no lock and allocates nothing: the thread
+// count is an atomic, the pool reuses one job slot, and the body is passed
+// by reference (ChunkFnRef), never copied into a std::function.
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace ltefp {
 
-/// Resolved worker count the next parallel region will use (>= 1).
+/// Non-owning reference to a callable fn(begin, end) over an index range:
+/// two pointers, no allocation. The callable must outlive the call it is
+/// passed to, which a lambda written at the call site does.
+class ChunkFnRef {
+ public:
+  template <typename Fn>
+    requires(!std::is_same_v<std::remove_cvref_t<Fn>, ChunkFnRef> &&
+             std::is_invocable_v<Fn&, std::size_t, std::size_t>)
+  ChunkFnRef(Fn&& fn) noexcept  // implicit: call sites pass a lambda
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, std::size_t begin, std::size_t end) {
+          (*static_cast<std::remove_reference_t<Fn>*>(obj))(begin, end);
+        }) {}
+
+  void operator()(std::size_t begin, std::size_t end) const { call_(obj_, begin, end); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::size_t, std::size_t);
+};
+
+/// Resolved worker count the next parallel region will use (>= 1). A
+/// lock-free atomic read once resolved.
 int thread_count();
 
 /// Sets the pool size. n <= 0 restores the default (LTEFP_THREADS env var,
@@ -39,8 +66,7 @@ bool in_parallel_region();
 /// `chunk` (0 = auto). Chunks execute concurrently; the call returns after
 /// all complete. The first exception thrown by any chunk is rethrown on
 /// the calling thread. fn must only write state owned by its index range.
-void parallel_for(std::size_t n, std::size_t chunk,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+void parallel_for(std::size_t n, std::size_t chunk, ChunkFnRef fn);
 
 /// Order-preserving map: out[i] = fn(i) for i in [0, n), computed
 /// concurrently but returned in index order. R must be default-

@@ -6,7 +6,8 @@
 namespace ltefp::lte {
 namespace {
 
-constexpr std::size_t kDciPayloadBytes = 4;
+constexpr std::uint8_t kDciPayloadBytes = 4;
+static_assert(kDciPayloadBytes <= DciPayload::kCapacity);
 constexpr std::uint8_t kFormatFlagUl = 0x80;  // bit 7: 1 = format 0 (UL)
 constexpr std::uint8_t kNdiFlag = 0x08;       // bit 3 of byte 0
 
@@ -16,7 +17,7 @@ int Dci::tb_bytes() const { return max_tb_bytes(mcs, nprb); }
 
 EncodedDci encode_dci(const Dci& dci) {
   EncodedDci enc;
-  enc.payload.resize(kDciPayloadBytes);
+  enc.payload.length = kDciPayloadBytes;
   std::uint8_t b0 = static_cast<std::uint8_t>(dci.harq_id & 0x07);
   if (dci.direction == Direction::kUplink) b0 |= kFormatFlagUl;
   if (dci.ndi) b0 |= kNdiFlag;

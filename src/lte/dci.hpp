@@ -13,6 +13,8 @@
 // format 0 (uplink grants) and format 1A (downlink assignments).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -37,9 +39,25 @@ struct Dci {
   bool operator==(const Dci&) const = default;
 };
 
+/// Packed DCI payload bits, byte-aligned. A fixed-capacity array with a
+/// length, so an EncodedDci is a plain value and encoding one allocates
+/// nothing. A contiguous range of its `length` bytes, so it passes to
+/// crc16/recover_rnti as a std::span.
+struct DciPayload {
+  static constexpr std::size_t kCapacity = 8;
+  std::array<std::uint8_t, kCapacity> bytes{};
+  std::uint8_t length = 0;  // <= kCapacity
+
+  std::uint8_t& operator[](std::size_t i) { return bytes[i]; }
+  std::uint8_t operator[](std::size_t i) const { return bytes[i]; }
+  std::size_t size() const { return length; }
+  const std::uint8_t* begin() const { return bytes.data(); }
+  const std::uint8_t* end() const { return bytes.data() + length; }
+};
+
 /// A DCI as it appears on the air: packed payload plus RNTI-masked CRC.
 struct EncodedDci {
-  std::vector<std::uint8_t> payload;
+  DciPayload payload;
   std::uint16_t masked_crc = 0;
 };
 

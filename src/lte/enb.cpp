@@ -45,7 +45,14 @@ Enb::Enb(EnbConfig config, Rng rng)
       rnti_manager_(RntiManagerConfig{}, rng_.fork()),
       dl_scheduler_(make_scheduler(config.profile.scheduler)),
       ul_scheduler_(make_scheduler(config.profile.scheduler)),
-      total_prb_(prb_count(config.profile.bandwidth)) {}
+      total_prb_(prb_count(config.profile.bandwidth)) {
+  // Each direction grants at most total_prb_ transport blocks a subframe
+  // (a grant takes at least one PRB), and a failed one waits kHarqRtt
+  // subframes, so the retransmission queue never outgrows this.
+  if (config_.profile.harq_bler > 0.0) {
+    retx_queue_.reserve(static_cast<std::size_t>(2 * kHarqRtt * total_prb_));
+  }
+}
 
 Enb::UeContext Enb::make_context(Tmsi tmsi, Rnti rnti, TimeMs now) {
   ChannelConfig cc;
@@ -284,12 +291,11 @@ void Enb::schedule_direction(Direction dir, TimeMs now, EnbStepResult& result) {
   }
 
   Scheduler& scheduler = dir == Direction::kDownlink ? *dl_scheduler_ : *ul_scheduler_;
-  const auto decisions =
-      scheduler.schedule(candidates_, total_prb_, config_.profile.max_prb_per_ue);
+  scheduler.schedule(candidates_, total_prb_, config_.profile.max_prb_per_ue, decisions_);
 
   // Apply grants: drain buffers, update PF state, emit DCIs.
-  served_.clear();
-  for (const auto& d : decisions) {
+  served_.assign(candidates_.size(), 0);
+  for (const auto& d : decisions_) {
     int nprb = d.nprb;
     if (config_.countermeasures.pad_to_bytes > 0) {
       // Traffic morphing: round the grant up the padding ladder so the
@@ -304,7 +310,7 @@ void Enb::schedule_direction(Direction dir, TimeMs now, EnbStepResult& result) {
     dci.nprb = static_cast<std::uint8_t>(nprb);
     dci.ndi = true;
     result.pdcch.dcis.push_back(encode_dci(dci));
-    served_[d.rnti] = d.tb_bytes;
+    served_[d.candidate] = d.tb_bytes;
     // Transport-block failure: the same grant reappears one HARQ RTT
     // later with the NDI untoggled.
     if (config_.profile.harq_bler > 0.0 && rng_.bernoulli(config_.profile.harq_bler)) {
@@ -313,9 +319,9 @@ void Enb::schedule_direction(Direction dir, TimeMs now, EnbStepResult& result) {
       retx_queue_.emplace_back(now + kHarqRtt, retx);
     }
   }
-  for (UeContext* ctx : owners_) {
-    const auto it = served_.find(ctx->rnti);
-    const int tb = it == served_.end() ? 0 : it->second;
+  for (std::size_t i = 0; i < owners_.size(); ++i) {
+    UeContext* ctx = owners_[i];
+    const int tb = served_[i];
     if (dir == Direction::kDownlink) {
       if (tb > 0) {
         ctx->dl_buffer = std::max(0, ctx->dl_buffer - tb);

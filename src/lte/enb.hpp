@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -155,11 +154,13 @@ class Enb {
   std::vector<std::pair<TimeMs, Dci>> retx_queue_;
   int total_prb_ = 0;
 
-  // step() scratch, reused across subframes.
+  // step() scratch, reused across subframes: a steady-state step (no
+  // connection set up or released) allocates nothing.
   std::vector<UeId> to_release_;
   std::vector<SchedCandidate> candidates_;
-  std::vector<UeContext*> owners_;
-  std::unordered_map<Rnti, int> served_;  // bytes actually served per RNTI
+  std::vector<UeContext*> owners_;         // parallel to candidates_
+  std::vector<SchedDecision> decisions_;   // the scheduler's output
+  std::vector<int> served_;                // TB bytes granted per candidate
 };
 
 }  // namespace ltefp::lte

@@ -252,7 +252,7 @@ void Simulation::step() {
   ue_events_ += due_.size();
   const std::size_t n_cells = enbs_.size();
 
-  if (thread_count() == 1 || due_.size() < kMinDueForSharding) {
+  if (due_.size() < kMinDueForSharding || thread_count() == 1) {
     // Inline: due_ is already in UeId order, which is exactly the seed-era
     // iteration order. A sparse subframe is a few µs of work, less than
     // opening a pool region costs.

@@ -2,74 +2,70 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "lte/tbs.hpp"
 
 namespace ltefp::lte {
 namespace {
 
-/// Builds a grant for one candidate from the remaining PRB budget.
-/// Returns nullopt when the budget is exhausted.
-std::optional<SchedDecision> make_grant(const SchedCandidate& c, int remaining_prb,
-                                        int max_prb_per_ue) {
-  if (remaining_prb <= 0 || c.buffer_bytes <= 0) return std::nullopt;
+/// Appends a grant for candidate `i` from the remaining PRB budget and
+/// returns the PRBs it takes (0 when the candidate holds no bytes).
+int grant(std::span<const SchedCandidate> candidates, std::size_t i, int remaining_prb,
+          int max_prb_per_ue, std::vector<SchedDecision>& out) {
+  const SchedCandidate& c = candidates[i];
+  if (c.buffer_bytes <= 0) return 0;
   const int cap = std::min({remaining_prb, max_prb_per_ue, kMaxPrb});
   const int nprb = prbs_needed(c.mcs, c.buffer_bytes, cap);
-  SchedDecision d;
-  d.rnti = c.rnti;
-  d.nprb = nprb;
-  d.mcs = c.mcs;
-  d.tb_bytes = max_tb_bytes(c.mcs, nprb);
-  return d;
+  out.push_back(SchedDecision{.candidate = i,
+                              .rnti = c.rnti,
+                              .nprb = nprb,
+                              .mcs = c.mcs,
+                              .tb_bytes = max_tb_bytes(c.mcs, nprb)});
+  return nprb;
 }
 
 }  // namespace
 
-std::vector<SchedDecision> RoundRobinScheduler::schedule(
-    std::span<const SchedCandidate> candidates, int total_prb, int max_prb_per_ue) {
-  std::vector<SchedDecision> out;
-  if (candidates.empty()) return out;
+void RoundRobinScheduler::schedule(std::span<const SchedCandidate> candidates, int total_prb,
+                                   int max_prb_per_ue, std::vector<SchedDecision>& out) {
+  out.clear();
+  if (candidates.empty()) return;
   int remaining = total_prb;
   const std::size_t n = candidates.size();
   const std::size_t start = next_start_ % n;
   for (std::size_t i = 0; i < n && remaining > 0; ++i) {
-    const auto& c = candidates[(start + i) % n];
-    if (auto grant = make_grant(c, remaining, max_prb_per_ue)) {
-      remaining -= grant->nprb;
-      out.push_back(*grant);
-    }
+    remaining -= grant(candidates, (start + i) % n, remaining, max_prb_per_ue, out);
   }
   ++next_start_;
-  return out;
 }
 
-std::vector<SchedDecision> ProportionalFairScheduler::schedule(
-    std::span<const SchedCandidate> candidates, int total_prb, int max_prb_per_ue) {
-  std::vector<SchedDecision> out;
-  if (candidates.empty()) return out;
+void ProportionalFairScheduler::schedule(std::span<const SchedCandidate> candidates,
+                                         int total_prb, int max_prb_per_ue,
+                                         std::vector<SchedDecision>& out) {
+  out.clear();
+  if (candidates.empty()) return;
 
   // PF metric: instantaneous achievable rate over served average rate.
-  std::vector<std::size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> metric(candidates.size());
+  order_.resize(candidates.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  metric_.resize(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const auto& c = candidates[i];
     const double inst_rate = static_cast<double>(max_tb_bytes(c.mcs, 1));
-    metric[i] = inst_rate / std::max(c.avg_rate, 1e-6);
+    metric_[i] = inst_rate / std::max(c.avg_rate, 1e-6);
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return metric[a] > metric[b]; });
+  // Descending metric, ties by ascending index: the order a stable sort on
+  // the metric alone gives, without the stable sort's temporary buffer.
+  std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+    if (metric_[a] != metric_[b]) return metric_[a] > metric_[b];
+    return a < b;
+  });
 
   int remaining = total_prb;
-  for (const std::size_t i : order) {
+  for (const std::size_t i : order_) {
     if (remaining <= 0) break;
-    if (auto grant = make_grant(candidates[i], remaining, max_prb_per_ue)) {
-      remaining -= grant->nprb;
-      out.push_back(*grant);
-    }
+    remaining -= grant(candidates, i, remaining, max_prb_per_ue, out);
   }
-  return out;
 }
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind) {

@@ -26,6 +26,7 @@ struct SchedCandidate {
 
 /// One grant decided for this subframe.
 struct SchedDecision {
+  std::size_t candidate = 0;  // index into the candidate list
   Rnti rnti = 0;
   int nprb = 0;
   int mcs = 0;
@@ -37,9 +38,11 @@ class Scheduler {
   virtual ~Scheduler() = default;
 
   /// Partitions up to `total_prb` PRBs of one direction of one subframe
-  /// among the candidates. `max_prb_per_ue` caps a single grant.
-  virtual std::vector<SchedDecision> schedule(std::span<const SchedCandidate> candidates,
-                                              int total_prb, int max_prb_per_ue) = 0;
+  /// among the candidates. `max_prb_per_ue` caps a single grant. The grants
+  /// replace the contents of `out`, whose capacity the caller keeps from
+  /// subframe to subframe, so a steady-state call allocates nothing.
+  virtual void schedule(std::span<const SchedCandidate> candidates, int total_prb,
+                        int max_prb_per_ue, std::vector<SchedDecision>& out) = 0;
 
   virtual const char* name() const = 0;
 };
@@ -48,8 +51,8 @@ class Scheduler {
 /// the PRBs its buffer needs (capped).
 class RoundRobinScheduler final : public Scheduler {
  public:
-  std::vector<SchedDecision> schedule(std::span<const SchedCandidate> candidates, int total_prb,
-                                      int max_prb_per_ue) override;
+  void schedule(std::span<const SchedCandidate> candidates, int total_prb, int max_prb_per_ue,
+                std::vector<SchedDecision>& out) override;
   const char* name() const override { return "round-robin"; }
 
  private:
@@ -57,12 +60,18 @@ class RoundRobinScheduler final : public Scheduler {
 };
 
 /// Proportional fair: serves candidates by descending instantaneous-rate /
-/// average-rate metric.
+/// average-rate metric; equal metrics are served in ascending candidate
+/// order.
 class ProportionalFairScheduler final : public Scheduler {
  public:
-  std::vector<SchedDecision> schedule(std::span<const SchedCandidate> candidates, int total_prb,
-                                      int max_prb_per_ue) override;
+  void schedule(std::span<const SchedCandidate> candidates, int total_prb, int max_prb_per_ue,
+                std::vector<SchedDecision>& out) override;
   const char* name() const override { return "proportional-fair"; }
+
+ private:
+  // Per-call scratch, kept for its capacity.
+  std::vector<std::size_t> order_;
+  std::vector<double> metric_;
 };
 
 enum class SchedulerKind { kRoundRobin, kProportionalFair };

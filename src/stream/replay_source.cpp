@@ -21,7 +21,7 @@ ReplaySource::ReplaySource(const std::string& directory) {
   for (const auto& entry : corpus.entries()) {
     LaneStream s;
     s.lane = static_cast<std::uint32_t>(entry.seq);
-    s.reader = std::make_unique<tracestore::MappedReader>(directory + "/" + entry.file);
+    s.reader = std::make_unique<tracestore::MappedReader>(corpus.open_entry(entry));
     s.cursor.emplace(s.reader->cursor());
     streams_.push_back(std::move(s));
   }

@@ -3,11 +3,13 @@
 // A StreamSource yields StreamRecords in merged (time, lane) order — the
 // global arrival order the driver shards over its workers. ReplaySource is
 // the corpus-backed implementation: it opens every .ltt entry of a
-// tracestore corpus through a memory-mapped cursor and k-way merges them,
-// so a multi-gigabyte corpus streams at O(lanes × one chunk) memory
-// instead of being decoded whole. Each lane is time-ordered because its
-// reader rejects a directory that steps back at open and a chunk whose
-// records go back in time before yielding any of them. The source is
+// tracestore corpus through Corpus::open_entry, so each file must agree
+// with its manifest row as on every other corpus read, and k-way merges
+// their memory-mapped cursors, so a multi-gigabyte corpus streams at
+// O(lanes × one chunk) memory instead of being decoded whole. Each lane is
+// time-ordered because its reader rejects a directory that steps back at
+// open and a chunk whose records go back in time before yielding any of
+// them. The source is
 // clock-free (src/ determinism contract); pacing lives in the CLI.
 #pragma once
 
@@ -50,8 +52,9 @@ class VectorSource final : public StreamSource {
 /// K-way merges every entry of a tracestore corpus; lane = entry seq.
 class ReplaySource final : public StreamSource {
  public:
-  /// Opens `directory` (throws TraceStoreError when absent/corrupt).
-  /// Lanes stream lazily, one decoded chunk resident per lane.
+  /// Opens `directory` (throws TraceStoreError when absent/corrupt, or
+  /// when an entry's file disagrees with its manifest row). Lanes stream
+  /// lazily, one decoded chunk resident per lane.
   explicit ReplaySource(const std::string& directory);
 
   ~ReplaySource() override;

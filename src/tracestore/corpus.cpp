@@ -9,7 +9,6 @@
 
 #include "common/csv.hpp"
 #include "common/parallel.hpp"
-#include "tracestore/mapped_reader.hpp"
 
 namespace fs = std::filesystem;
 
@@ -362,28 +361,33 @@ std::vector<CorpusEntry> Corpus::select(const CorpusFilter& filter) const {
 
 namespace {
 
-/// The one way a corpus entry is read: maps its .ltt file, checks the
-/// embedded metadata against the manifest row, and drains a cursor over
-/// [q.t0, q.t1] (and q.rnti). An unranged read must also yield the
-/// manifest's record count. Adds the file and its chunk counts to `stats`.
-sniffer::Trace read_entry(const std::string& directory, const CorpusEntry& entry,
-                          const RangeQuery& q, RangeScanStats& stats) {
+/// Maps an entry's .ltt file and checks it against its manifest row: the
+/// embedded metadata must equal the row's, and the file must declare the
+/// row's record count (every chunk decode then holds the file to it).
+MappedReader open_checked(const std::string& directory, const CorpusEntry& entry) {
   MappedReader reader((fs::path(directory) / entry.file).string());
   if (reader.meta() != entry.meta) {
     throw TraceStoreError("corpus: " + entry.file +
                           ": embedded metadata disagrees with manifest row " +
                           std::to_string(entry.seq));
   }
+  if (reader.declared_records() != entry.records) {
+    throw TraceStoreError("corpus: " + entry.file + ": manifest declares " +
+                          std::to_string(entry.records) + " records, file holds " +
+                          std::to_string(reader.declared_records()));
+  }
+  return reader;
+}
+
+/// The one way a corpus entry is read: opens it checked, then drains a
+/// cursor over [q.t0, q.t1] (and q.rnti). Adds the file and its chunk
+/// counts to `stats`.
+sniffer::Trace read_entry(const std::string& directory, const CorpusEntry& entry,
+                          const RangeQuery& q, RangeScanStats& stats) {
+  const MappedReader reader = open_checked(directory, entry);
   MappedReader::Cursor cursor = reader.cursor(q.t0, q.t1, q.rnti);
   sniffer::Trace trace;
   cursor.drain(trace);
-  const bool unranged = !q.rnti && q.t0 == std::numeric_limits<TimeMs>::min() &&
-                        q.t1 == std::numeric_limits<TimeMs>::max();
-  if (unranged && trace.size() != entry.records) {
-    throw TraceStoreError("corpus: " + entry.file + ": manifest declares " +
-                          std::to_string(entry.records) + " records, file holds " +
-                          std::to_string(trace.size()));
-  }
   ++stats.files_opened;
   stats.chunks_decoded += cursor.chunks_decoded();
   stats.chunks_skipped += cursor.chunks_skipped();
@@ -392,6 +396,10 @@ sniffer::Trace read_entry(const std::string& directory, const CorpusEntry& entry
 }
 
 }  // namespace
+
+MappedReader Corpus::open_entry(const CorpusEntry& entry) const {
+  return open_checked(directory_, entry);
+}
 
 sniffer::Trace Corpus::load(const CorpusEntry& entry) const {
   RangeScanStats unused;

@@ -28,6 +28,7 @@
 
 #include "sniffer/trace.hpp"
 #include "tracestore/format.hpp"
+#include "tracestore/mapped_reader.hpp"
 #include "tracestore/writer.hpp"
 
 namespace ltefp::tracestore {
@@ -132,9 +133,13 @@ class Corpus {
   /// decoding. Shards whose summary cannot match are skipped unparsed.
   std::vector<CorpusEntry> select(const CorpusFilter& filter) const;
 
-  /// Decodes one entry's trace file (memory-mapped), verifying framing,
-  /// that the file's embedded metadata matches the manifest row, and that
-  /// it holds the manifest's record count.
+  /// Maps one entry's trace file after checking it against the manifest
+  /// row: the embedded metadata must match, and the file must declare the
+  /// row's record count. Every read of an entry goes through this check.
+  MappedReader open_entry(const CorpusEntry& entry) const;
+
+  /// Decodes one entry's trace file (memory-mapped) through open_entry(),
+  /// verifying framing as it goes.
   sniffer::Trace load(const CorpusEntry& entry) const;
 
   /// One decoded trace paired with its manifest entry.

@@ -59,14 +59,16 @@ INSTANTIATE_TEST_SUITE_P(
                       DciCase{Direction::kDownlink, kPagingRnti, 2, 2, 0, false}));
 
 TEST(Dci, MalformedPayloadRejected) {
-  EncodedDci enc;
-  enc.payload = {0x00, 0x00};  // wrong length
-  EXPECT_FALSE(decode_dci_fields(enc).has_value());
-
   Dci dci;
   dci.mcs = 4;
   dci.nprb = 10;
-  enc = encode_dci(dci);
+  EncodedDci enc = encode_dci(dci);
+  for (const int length : {0, 2, 3, 5, 8}) {
+    EncodedDci wrong = enc;
+    wrong.payload.length = static_cast<std::uint8_t>(length);  // wrong length, valid fields
+    EXPECT_FALSE(decode_dci_fields(wrong).has_value()) << "length " << length;
+  }
+
   enc.payload[1] = 29;  // invalid MCS
   EXPECT_FALSE(decode_dci_fields(enc).has_value());
   enc.payload[1] = 4;

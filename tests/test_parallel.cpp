@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/collect.hpp"
@@ -98,6 +99,47 @@ TEST(ParallelFor, PropagatesFirstException) {
                  [&](std::size_t b, std::size_t e) { total.fetch_add(static_cast<int>(e - b)); });
     EXPECT_EQ(total.load(), 10);
   }
+}
+
+TEST(ParallelFor, ConcurrentCallersFromSeveralThreads) {
+  // Several threads open regions at once, the way the daemon's workers
+  // call predict_rows: one at a time holds the pool, the others run their
+  // chunks inline. Every caller must get its own complete, correct result,
+  // and thread_count() must read the same from every thread throughout.
+  const ThreadGuard guard;
+  set_thread_count(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([t, &wrong] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (thread_count() != 4) wrong.fetch_add(1);
+        const std::size_t n = 64 + static_cast<std::size_t>((t * 37 + round) % 200);
+        std::vector<std::size_t> out(n, 0);
+        parallel_for(n, 8, [&out, t](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) out[i] = i * i + static_cast<std::size_t>(t);
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+          if (out[i] != i * i + static_cast<std::size_t>(t)) {
+            wrong.fetch_add(1);
+            break;
+          }
+        }
+        const auto mapped = parallel_map(n, [t](std::size_t i) { return i + 3 * t; });
+        for (std::size_t i = 0; i < n; ++i) {
+          if (mapped[i] != i + 3 * static_cast<std::size_t>(t)) {
+            wrong.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(thread_count(), 4);
 }
 
 TEST(ParallelMap, OrderMatchesSerialAtAnyThreadCount) {

@@ -368,9 +368,15 @@ TEST(StreamReplay, RejectsLaneWhoseRecordsGoBackInTime) {
     fs::remove_all(dir);
     const tracestore::TraceMeta meta;
     {
+      // Lane 1's manifest row agrees with the swapped-in file (metadata and
+      // record count), so only the time order can give it away.
+      sniffer::Trace honest;
+      for (const auto& chunk : chunks) honest.insert(honest.end(), chunk.begin(), chunk.end());
+      std::sort(honest.begin(), honest.end(),
+                [](const auto& a, const auto& b) { return a.time < b.time; });
       tracestore::CorpusWriter writer(dir);
       writer.add(meta, synth_trace(3, 40, 0));
-      writer.add(meta, {at(100), at(200)});
+      writer.add(meta, honest);
       writer.finish();
     }
     const std::string image = tracestore::test_images::build_v2(meta, chunks);
@@ -396,6 +402,40 @@ TEST(StreamReplay, RejectsLaneWhoseRecordsGoBackInTime) {
           << "merge order violated at " << i;
     }
   }
+  fs::remove_all(dir);
+}
+
+TEST(StreamReplay, RejectsLaneFileThatDisagreesWithItsManifestRow) {
+  // Copying trace_000001.ltt over trace_000000.ltt leaves a valid file that
+  // belongs to another row: ReplaySource must reject it at open, as
+  // Corpus::load does, before any record is replayed.
+  const std::string dir = testing::TempDir() + "ltefp_stream_replay_swapped";
+  fs::remove_all(dir);
+  {
+    tracestore::CorpusWriter writer(dir);
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      tracestore::TraceMeta meta;
+      meta.app = static_cast<std::uint16_t>(i);
+      meta.label = "lane" + std::to_string(i);
+      meta.seed = i;
+      writer.add(meta, synth_trace(50 + i, 60 + 20 * i, 0));
+    }
+    writer.finish();
+  }
+  const auto entries = tracestore::Corpus::open(dir).entries();
+  ASSERT_EQ(entries.size(), 2u);
+  { stream::ReplaySource intact(dir); }  // the untouched corpus opens
+
+  fs::copy_file(fs::path(dir) / entries[1].file, fs::path(dir) / entries[0].file,
+                fs::copy_options::overwrite_existing);
+  try {
+    stream::ReplaySource source(dir);
+    ADD_FAILURE() << "a lane whose file belongs to another manifest row opened";
+  } catch (const tracestore::TraceStoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("disagrees with manifest row 0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(tracestore::Corpus::open(dir).load(entries[0]), tracestore::TraceStoreError);
   fs::remove_all(dir);
 }
 
