@@ -9,9 +9,9 @@
 //
 // Storage is immutable after construction and held behind a shared_ptr:
 // `with_labels` makes a relabeled view (coarse groups, per-stage local
-// labels) that shares the feature columns. The per-column argsort used by
-// the presorted tree trainer is cached lazily in the shared store, so all
-// trees of a forest (across threads) pay for it once.
+// labels) that shares the feature columns. A per-column argsort is
+// available on request (`sorted_order`), computed lazily once and cached
+// in the shared store.
 #pragma once
 
 #include <cstddef>

@@ -5,17 +5,28 @@
 namespace ltefp::lte {
 
 RntiManager::RntiManager(RntiManagerConfig config, Rng rng)
-    : config_(config), rng_(rng) {}
-
-bool RntiManager::usable(Rnti rnti, TimeMs /*now*/) const {
-  return !active_.contains(rnti) && !cooling_.contains(rnti);
-}
+    : config_(config),
+      rng_(rng),
+      active_(std::size_t{1} << 16, false),
+      cooling_(std::size_t{1} << 16, false) {}
 
 void RntiManager::expire_cooldowns(TimeMs now) {
-  while (!cooldown_.empty() && now - cooldown_.front().released_at >= config_.reuse_cooldown) {
-    cooling_.erase(cooldown_.front().rnti);
-    cooldown_.pop_front();
+  while (cooldown_head_ < cooldown_.size() &&
+         now - cooldown_[cooldown_head_].released_at >= config_.reuse_cooldown) {
+    cooling_[cooldown_[cooldown_head_].rnti] = false;
+    ++cooldown_head_;
   }
+  if (2 * cooldown_head_ >= cooldown_.size()) {
+    cooldown_.erase(cooldown_.begin(),
+                    cooldown_.begin() + static_cast<std::ptrdiff_t>(cooldown_head_));
+    cooldown_head_ = 0;
+  }
+}
+
+Rnti RntiManager::take(Rnti rnti) {
+  active_[rnti] = true;
+  ++active_count_;
+  return rnti;
 }
 
 Rnti RntiManager::allocate(TimeMs now) {
@@ -27,10 +38,7 @@ Rnti RntiManager::allocate(TimeMs now) {
     for (int attempt = 0; attempt < 4 * kPoolSize; ++attempt) {
       const auto candidate =
           static_cast<Rnti>(rng_.uniform_int(kMinCRnti, kMaxCRnti));
-      if (usable(candidate, now)) {
-        active_.insert(candidate);
-        return candidate;
-      }
+      if (usable(candidate)) return take(candidate);
     }
     throw std::runtime_error("RntiManager: C-RNTI pool exhausted");
   }
@@ -38,18 +46,17 @@ Rnti RntiManager::allocate(TimeMs now) {
     const Rnti candidate = next_sequential_;
     next_sequential_ =
         next_sequential_ >= kMaxCRnti ? kMinCRnti : static_cast<Rnti>(next_sequential_ + 1);
-    if (usable(candidate, now)) {
-      active_.insert(candidate);
-      return candidate;
-    }
+    if (usable(candidate)) return take(candidate);
   }
   throw std::runtime_error("RntiManager: C-RNTI pool exhausted");
 }
 
 void RntiManager::release(Rnti rnti, TimeMs now) {
-  if (active_.erase(rnti) == 0) return;  // double release is a no-op
+  if (!active_[rnti]) return;  // double release is a no-op
+  active_[rnti] = false;
+  cooling_[rnti] = true;
+  --active_count_;
   cooldown_.push_back(Cooldown{rnti, now});
-  cooling_.insert(rnti);
 }
 
 }  // namespace ltefp::lte

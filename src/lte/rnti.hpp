@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,22 +36,29 @@ class RntiManager {
   /// Returns a C-RNTI to the pool.
   void release(Rnti rnti, TimeMs now);
 
-  bool is_active(Rnti rnti) const { return active_.contains(rnti); }
-  std::size_t active_count() const { return active_.size(); }
+  bool is_active(Rnti rnti) const { return active_[rnti]; }
+  std::size_t active_count() const { return active_count_; }
 
  private:
-  bool usable(Rnti rnti, TimeMs now) const;
+  bool usable(Rnti rnti) const { return !active_[rnti] && !cooling_[rnti]; }
   void expire_cooldowns(TimeMs now);
+  Rnti take(Rnti rnti);
 
   RntiManagerConfig config_;
   Rng rng_;
-  std::unordered_set<Rnti> active_;
+  // One bit per 16-bit value in each set, sized once: allocation and
+  // release touch no heap once the cooldown FIFO has reached its peak length.
+  std::vector<bool> active_;
+  std::vector<bool> cooling_;
+  std::size_t active_count_ = 0;
   struct Cooldown {
     Rnti rnti;
     TimeMs released_at;
   };
-  std::deque<Cooldown> cooldown_;
-  std::unordered_set<Rnti> cooling_;
+  // Release-ordered FIFO: live entries are [cooldown_head_, size()); the
+  // expired prefix is dropped once it is at least half the vector.
+  std::vector<Cooldown> cooldown_;
+  std::size_t cooldown_head_ = 0;
   Rnti next_sequential_ = kMinCRnti;
 };
 

@@ -1,6 +1,7 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -41,57 +42,53 @@ void DecisionTree::fit(const features::DatasetMatrix& data,
   if (indices.empty()) throw std::invalid_argument("DecisionTree::fit: no samples");
   if (num_classes <= 0) throw std::invalid_argument("DecisionTree::fit: bad class count");
   nodes_.clear();
-  num_classes_ = num_classes;
   matrix_ = &data;
-  total_n_ = indices.size();
-  idx_.assign(indices.begin(), indices.end());
 
-  const std::size_t rows = data.rows();
-  const std::size_t dims = data.cols();
+  const std::size_t n = indices.size();
+  const auto classes = static_cast<std::size_t>(num_classes);
+  const auto candidates = static_cast<std::size_t>(std::max(1, config_.threshold_candidates));
+  // Smallest power of two above the candidate count: the bucket search
+  // always has at least one +inf pad, so every step is in bounds.
+  const std::size_t padded = std::bit_ceil(candidates + 1);
+  FitScratch& s = scratch_;
+  s.idx.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.idx[i] = static_cast<std::uint32_t>(indices[i]);
+  s.labels.resize(n);
+  s.values.resize(n);
+  s.counts.resize(classes);
+  s.left_counts.resize(classes);
+  s.right_counts.resize(classes);
+  s.threshold.resize(candidates);
+  s.order.resize(candidates);
+  s.score.resize(candidates);
+  s.sorted.assign(padded, std::numeric_limits<double>::infinity());
+  s.hist.resize(padded * classes);
+  s.running.resize(classes);
 
-  // Expand the dataset-wide per-column argsort through this fit's
-  // bootstrap multiplicities: one counting pass per feature replaces a
-  // per-tree O(n log n) sort per column. Duplicated entries land adjacent
-  // (same value), which is all the sweep needs.
-  boot_mult_.assign(rows, 0);
-  for (const std::size_t id : idx_) ++boot_mult_[id];
-  sorted_.resize(dims * total_n_);
-  for (std::size_t f = 0; f < dims; ++f) {
-    const auto order = data.sorted_order(f);
-    std::uint32_t* out = sorted_.data() + f * total_n_;
-    for (const std::uint32_t id : order) {
-      for (std::uint32_t r = boot_mult_[id]; r > 0; --r) *out++ = id;
-    }
-  }
-  part_scratch_.resize(total_n_);
-  left_mask_.assign(rows, 0);
+  build(0, n, 0);
 
-  build(0, idx_.size(), 0);
-
-  // Release fit-scoped scratch: forests keep many trained trees around.
   matrix_ = nullptr;
-  std::vector<std::size_t>().swap(idx_);
-  std::vector<std::uint32_t>().swap(sorted_);
-  std::vector<std::uint32_t>().swap(part_scratch_);
-  std::vector<std::uint32_t>().swap(boot_mult_);
-  std::vector<unsigned char>().swap(left_mask_);
+  scratch_ = FitScratch{};
 }
 
 int DecisionTree::build(std::size_t begin, std::size_t end, int depth) {
+  FitScratch& s = scratch_;
   const std::size_t n = end - begin;
-  const std::span<const int> labels = matrix_->labels();
-  std::vector<double> counts(static_cast<std::size_t>(num_classes_), 0.0);
-  for (std::size_t i = begin; i < end; ++i) {
-    ++counts[static_cast<std::size_t>(labels[idx_[i]])];
+  const std::size_t classes = s.counts.size();
+  const std::span<const int> row_labels = matrix_->labels();
+  std::fill(s.counts.begin(), s.counts.end(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.labels[i] = row_labels[s.idx[begin + i]];
+    ++s.counts[static_cast<std::size_t>(s.labels[i])];
   }
-  const double node_gini = gini_from_counts(counts, static_cast<double>(n));
+  const double node_gini = gini_from_counts(s.counts, static_cast<double>(n));
 
   const auto make_leaf = [&]() {
     Node leaf;
     leaf.depth = depth;
-    leaf.proba.resize(counts.size());
-    for (std::size_t c = 0; c < counts.size(); ++c) {
-      leaf.proba[c] = counts[c] / static_cast<double>(n);
+    leaf.proba.resize(classes);
+    for (std::size_t c = 0; c < classes; ++c) {
+      leaf.proba[c] = s.counts[c] / static_cast<double>(n);
     }
     const int id = static_cast<int>(nodes_.size());
     nodes_.push_back(std::move(leaf));
@@ -105,123 +102,114 @@ int DecisionTree::build(std::size_t begin, std::size_t end, int depth) {
 
   const std::size_t dims = matrix_->cols();
   // Choose the features to try at this node.
-  std::vector<std::size_t> tried(dims);
-  std::iota(tried.begin(), tried.end(), std::size_t{0});
+  s.tried.resize(dims);
+  std::iota(s.tried.begin(), s.tried.end(), std::size_t{0});
   if (config_.mtry > 0 && static_cast<std::size_t>(config_.mtry) < dims) {
-    rng_.shuffle(tried);
-    tried.resize(static_cast<std::size_t>(config_.mtry));
+    rng_.shuffle(s.tried);
+    s.tried.resize(static_cast<std::size_t>(config_.mtry));
   }
 
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_score = node_gini;  // must strictly improve
-  std::vector<double> left_counts(counts.size());
-  std::vector<double> right_counts(counts.size());
+  const std::size_t candidates = s.threshold.size();
+  const std::size_t padded = s.sorted.size();
 
-  const int candidates = std::max(1, config_.threshold_candidates);
-  cand_threshold_.resize(static_cast<std::size_t>(candidates));
-  cand_order_.resize(static_cast<std::size_t>(candidates));
-  cand_left_counts_.resize(static_cast<std::size_t>(candidates) * counts.size());
-  cand_n_left_.resize(static_cast<std::size_t>(candidates));
-
-  for (const std::size_t f : tried) {
+  for (const std::size_t f : s.tried) {
     const double* col = matrix_->column(f).data();
-    const std::uint32_t* srt = sorted_.data() + f * total_n_ + begin;
-    // The node's sorted order hands us the value range for free.
-    const double lo = col[srt[0]];
-    const double hi = col[srt[n - 1]];
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = col[s.idx[begin + i]];
+      s.values[i] = v;
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
     if (!(hi > lo)) continue;  // constant feature in this node
 
     // Draw the candidate thresholds exactly as the historical trainer
     // did: midpoints between two random node values concentrate
-    // candidates where the data mass is. Node positions index idx_, so
-    // the draws (and the RNG stream) are independent of the presort.
-    for (int c = 0; c < candidates; ++c) {
-      const double a = col[idx_[begin + rng_.index(n)]];
-      const double b = col[idx_[begin + rng_.index(n)]];
-      cand_threshold_[static_cast<std::size_t>(c)] =
-          a == b ? (a + lo + (hi - lo) * rng_.uniform()) / 2.0 : (a + b) / 2.0;
+    // candidates where the data mass is.
+    for (std::size_t c = 0; c < candidates; ++c) {
+      const double a = s.values[rng_.index(n)];
+      const double b = s.values[rng_.index(n)];
+      s.threshold[c] = a == b ? (a + lo + (hi - lo) * rng_.uniform()) / 2.0 : (a + b) / 2.0;
     }
 
-    // One incremental class-count sweep over the node's sorted order
-    // scores every candidate: visit candidates by ascending threshold,
-    // advancing a single frontier instead of recounting the node per
-    // candidate.
-    std::iota(cand_order_.begin(), cand_order_.end(), 0);
-    std::sort(cand_order_.begin(), cand_order_.end(), [this](int x, int y) {
-      const double tx = cand_threshold_[static_cast<std::size_t>(x)];
-      const double ty = cand_threshold_[static_cast<std::size_t>(y)];
-      return tx < ty || (tx == ty && x < y);
-    });
-    running_counts_.assign(counts.size(), 0);
-    std::size_t pos = 0;
-    for (const int c : cand_order_) {
-      const double threshold = cand_threshold_[static_cast<std::size_t>(c)];
-      while (pos < n && col[srt[pos]] <= threshold) {
-        ++running_counts_[static_cast<std::size_t>(labels[srt[pos]])];
-        ++pos;
-      }
-      double* snap = cand_left_counts_.data() + static_cast<std::size_t>(c) * counts.size();
-      for (std::size_t k = 0; k < counts.size(); ++k) {
-        snap[k] = static_cast<double>(running_counts_[k]);
-      }
-      cand_n_left_[static_cast<std::size_t>(c)] = static_cast<double>(pos);
+    // Rank the candidates by threshold, ties by candidate index: a stable
+    // counting sort, whose C^2 branch-free compares beat a comparison sort
+    // at the few dozen candidates a node draws.
+    for (std::size_t c = 0; c < candidates; ++c) {
+      const double t = s.threshold[c];
+      std::size_t r = 0;
+      for (std::size_t d = 0; d < c; ++d) r += s.threshold[d] <= t ? 1 : 0;
+      for (std::size_t d = c + 1; d < candidates; ++d) r += s.threshold[d] < t ? 1 : 0;
+      s.order[r] = c;
+      s.sorted[r] = t;
     }
 
-    // Score in the original candidate order so best-so-far tie behaviour
-    // matches the per-candidate trainer exactly.
-    for (int c = 0; c < candidates; ++c) {
-      const double n_left = cand_n_left_[static_cast<std::size_t>(c)];
+    // Bucket each value by how many sorted thresholds lie below it (a NaN
+    // lands past them all): the value goes left of the rank-r candidate
+    // exactly when its bucket is <= r. The search is branchless over the
+    // padded array, whose +inf tail no value exceeds.
+    std::fill(s.hist.begin(), s.hist.end(), 0u);
+    const double* sorted = s.sorted.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = s.values[i];
+      std::size_t bucket = 0;
+      for (std::size_t step = padded / 2; step > 0; step /= 2) {
+        bucket += step * static_cast<std::size_t>(!(v <= sorted[bucket + step - 1]));
+      }
+      ++s.hist[bucket * classes + static_cast<std::size_t>(s.labels[i])];
+    }
+
+    // Sweep the buckets in threshold order: after adding bucket r, the
+    // running counts are the left class counts of the rank-r candidate.
+    std::fill(s.running.begin(), s.running.end(), 0u);
+    std::uint32_t n_running = 0;
+    for (std::size_t r = 0; r < candidates; ++r) {
+      const std::uint32_t* bucket = s.hist.data() + r * classes;
+      for (std::size_t k = 0; k < classes; ++k) {
+        s.running[k] += bucket[k];
+        n_running += bucket[k];
+      }
+      const double n_left = static_cast<double>(n_running);
       const double n_right = static_cast<double>(n) - n_left;
-      if (n_left < config_.min_samples_leaf || n_right < config_.min_samples_leaf) continue;
-      const double* snap =
-          cand_left_counts_.data() + static_cast<std::size_t>(c) * counts.size();
-      for (std::size_t k = 0; k < counts.size(); ++k) {
-        left_counts[k] = snap[k];
-        right_counts[k] = counts[k] - snap[k];
+      double score = std::numeric_limits<double>::infinity();  // never accepted
+      if (n_left >= config_.min_samples_leaf && n_right >= config_.min_samples_leaf) {
+        for (std::size_t k = 0; k < classes; ++k) {
+          s.left_counts[k] = static_cast<double>(s.running[k]);
+          s.right_counts[k] = s.counts[k] - s.left_counts[k];
+        }
+        score = (n_left * gini_from_counts(s.left_counts, n_left) +
+                 n_right * gini_from_counts(s.right_counts, n_right)) /
+                static_cast<double>(n);
       }
-      const double score = (n_left * gini_from_counts(left_counts, n_left) +
-                            n_right * gini_from_counts(right_counts, n_right)) /
-                           static_cast<double>(n);
-      if (score + 1e-12 < best_score) {
-        best_score = score;
+      s.score[s.order[r]] = score;
+    }
+
+    // Accept in the original candidate order so best-so-far tie behaviour
+    // matches the per-candidate trainer exactly.
+    for (std::size_t c = 0; c < candidates; ++c) {
+      if (s.score[c] + 1e-12 < best_score) {
+        best_score = s.score[c];
         best_feature = static_cast<int>(f);
-        best_threshold = cand_threshold_[static_cast<std::size_t>(c)];
+        best_threshold = s.threshold[c];
       }
     }
   }
 
   if (best_feature < 0) return make_leaf();
 
-  // Partition the node-order entries in place (split predicate and
+  // Partition the node-order rows in place (split predicate and
   // permutation identical to the historical trainer).
   const double* best_col = matrix_->column(static_cast<std::size_t>(best_feature)).data();
   const auto mid_it = std::partition(
-      idx_.begin() + static_cast<std::ptrdiff_t>(begin),
-      idx_.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t id) { return best_col[id] <= best_threshold; });
-  const auto mid = static_cast<std::size_t>(mid_it - idx_.begin());
+      s.idx.begin() + static_cast<std::ptrdiff_t>(begin),
+      s.idx.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](std::uint32_t id) { return best_col[id] <= best_threshold; });
+  const auto mid = static_cast<std::size_t>(mid_it - s.idx.begin());
   if (mid == begin || mid == end) return make_leaf();  // degenerate split
-
-  // Maintain the per-feature sorted partitions: a stable partition keeps
-  // each side sorted. Side membership is a per-row bit (duplicated
-  // bootstrap entries share it), read off the already-partitioned idx_.
-  for (std::size_t i = begin; i < mid; ++i) left_mask_[idx_[i]] = 1;
-  for (std::size_t i = mid; i < end; ++i) left_mask_[idx_[i]] = 0;
-  for (std::size_t f = 0; f < dims; ++f) {
-    std::uint32_t* block = sorted_.data() + f * total_n_ + begin;
-    std::size_t write = 0, spill = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t id = block[j];
-      if (left_mask_[id]) {
-        block[write++] = id;
-      } else {
-        part_scratch_[spill++] = id;
-      }
-    }
-    std::copy(part_scratch_.begin(),
-              part_scratch_.begin() + static_cast<std::ptrdiff_t>(spill), block + write);
-  }
 
   Node node;
   node.feature = best_feature;
@@ -288,7 +276,6 @@ DecisionTree DecisionTree::from_nodes(std::vector<ExportedNode> nodes, int num_c
   if (nodes.empty()) throw std::invalid_argument("DecisionTree::from_nodes: no nodes");
   if (num_classes <= 0) throw std::invalid_argument("DecisionTree::from_nodes: bad class count");
   DecisionTree tree;
-  tree.num_classes_ = num_classes;
   tree.nodes_.reserve(nodes.size());
   const int n = static_cast<int>(nodes.size());
   for (auto& e : nodes) {

@@ -6,17 +6,16 @@
 // per-node feature subsampling (mtry) this is the standard random-forest
 // recipe and keeps training linear in node size.
 //
-// The trainer is columnar and presorted (sklearn/XGBoost-exact style):
-// each feature column of the DatasetMatrix is argsorted once per dataset,
-// each tree expands that order through its bootstrap multiplicities once,
-// and the sorted per-feature index partitions are maintained down the tree
-// with stable partitions. Candidate thresholds are still drawn from the
-// node values with the same RNG stream as the original per-candidate
-// rescan trainer, but all candidates of a feature are scored in ONE
-// incremental class-count sweep over the node's sorted order. Split
-// decisions, thresholds, tie order, and the RNG stream are unchanged, so
-// trained trees are bit-identical to the historical AoS trainer (pinned
-// by tests/test_columnar_ml.cpp against a reference implementation).
+// The trainer is columnar and needs no presort: for each tried feature a
+// node gathers its values in node order, draws the candidate thresholds
+// from them with the same RNG stream as the original per-candidate rescan
+// trainer, ranks the candidates by threshold, and buckets every value by
+// a branchless search over them. A running sum over the bucket-by-class
+// histogram, in threshold order, gives each candidate's left class
+// counts, so all candidates of a feature cost one pass over the node. Split decisions, thresholds, tie order, and the
+// RNG stream are unchanged, so trained trees are bit-identical to the
+// historical AoS trainer (pinned by tests/test_columnar_ml.cpp against a
+// reference implementation).
 #pragma once
 
 #include <cstdint>
@@ -101,23 +100,27 @@ class DecisionTree {
   TreeConfig config_;
   Rng rng_;
   std::vector<Node> nodes_;
-  int num_classes_ = 0;
 
   // --- fit-scoped state (valid only inside fit/build) -------------------
+  // Sized once per fit and reused by every node, then released: forests
+  // keep many trained trees around.
+  struct FitScratch {
+    std::vector<std::uint32_t> idx;     // node-order rows; std::partition'd per split
+    std::vector<int> labels;            // labels of the node's rows, node order
+    std::vector<double> values;         // one tried feature's values, node order
+    std::vector<double> counts;         // node class counts
+    std::vector<std::size_t> tried;     // features tried at the node
+    std::vector<double> left_counts;    // scored candidate's left class counts
+    std::vector<double> right_counts;   // and right class counts
+    std::vector<double> threshold;      // per candidate, in draw order
+    std::vector<std::size_t> order;     // rank -> candidate (by threshold, then index)
+    std::vector<double> sorted;         // thresholds by rank, +inf padded to 2^k
+    std::vector<std::uint32_t> hist;    // bucket x class value counts
+    std::vector<std::uint32_t> running; // sweep: left class counts so far
+    std::vector<double> score;          // per candidate; +inf if a side is too small
+  };
   const features::DatasetMatrix* matrix_ = nullptr;
-  std::size_t total_n_ = 0;       // number of bootstrap entries
-  std::vector<std::size_t> idx_;  // node-order entries; std::partition'd per split
-  // Per-feature value-sorted entries, cols() blocks of total_n_ row ids,
-  // partitioned in lockstep with idx_ (stable, so blocks stay sorted).
-  std::vector<std::uint32_t> sorted_;
-  std::vector<std::uint32_t> part_scratch_;   // stable-partition spill buffer
-  std::vector<std::uint32_t> boot_mult_;      // bootstrap multiplicity per row
-  std::vector<unsigned char> left_mask_;      // per dataset row: goes left?
-  std::vector<double> cand_threshold_;        // per candidate
-  std::vector<int> cand_order_;               // candidates by ascending threshold
-  std::vector<std::size_t> running_counts_;   // sweep class counts
-  std::vector<double> cand_left_counts_;      // candidates x classes snapshot
-  std::vector<double> cand_n_left_;           // per candidate
+  FitScratch scratch_;
 };
 
 }  // namespace ltefp::ml

@@ -6,9 +6,8 @@
 // subsequently."
 //
 // Training runs on columnar label views: the coarse stage and each
-// per-group fine stage share the one DatasetMatrix's feature columns (and
-// its cached per-column argsort) via DatasetMatrix::with_labels — no
-// feature copies per stage.
+// per-group fine stage share the one DatasetMatrix's feature columns via
+// DatasetMatrix::with_labels — no feature copies per stage.
 #pragma once
 
 #include <cstdint>

@@ -4,9 +4,9 @@
 //
 // fit() transposes the dataset into one columnar DatasetMatrix and grows
 // trees concurrently on the global pool: tree t's RNG is derived from
-// (seed, t), so the forest is bit-identical at any thread count. The
-// per-column argsort lives in the matrix and is computed once, shared by
-// every tree.
+// (seed, t), so the forest is bit-identical at any thread count. Trees
+// share the matrix's feature columns read-only; each fit keeps its own
+// node scratch.
 #pragma once
 
 #include <cstdint>

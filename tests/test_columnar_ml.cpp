@@ -1,6 +1,6 @@
 // Pins the columnar ML engine to the historical AoS implementations:
 //
-//  * the presorted DecisionTree/RandomForest trainer must produce
+//  * the bucketing DecisionTree/RandomForest trainer must produce
 //    serialized forests BYTE-identical to the original per-candidate
 //    rescan trainer (reimplemented here as a reference), at every seed
 //    and thread count;
@@ -37,8 +37,8 @@ struct ThreadGuard {
 };
 
 // Synthetic dataset with deliberate value ties (quantised columns), a
-// constant column, and class imbalance — exercises the argsort tie-break,
-// the a == b candidate path, and skipped features.
+// constant column, and class imbalance — exercises tied values and
+// thresholds, the a == b candidate path, and skipped features.
 Dataset tricky_dataset(std::size_t n, int classes, std::uint64_t seed) {
   Rng rng(seed);
   Dataset data;
@@ -68,7 +68,7 @@ double gini_of(std::span<const double> counts, double total) {
 // Reference reimplementation of the historical AoS trainer (gather node
 // values per feature, rescan the node once per candidate threshold).
 // Kept verbatim in spirit: same RNG stream, same arithmetic, same
-// std::partition, so it defines the contract the presorted trainer must
+// std::partition, so it defines the contract the bucketing trainer must
 // reproduce bit for bit.
 class ReferenceTree {
  public:
@@ -238,6 +238,32 @@ TEST(ColumnarTrainer, ForestBitIdenticalToReferenceAcrossSeedsAndThreads) {
       forest.fit(data);
       EXPECT_EQ(serialized(forest), expected)
           << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+// The trainer buckets values by a search over the sorted candidates,
+// padded to a power of two: candidate counts of 1, just below, at and
+// above a power of two, under- and over-sized bootstraps, and every
+// feature tried at every node must all still match the rescan reference.
+TEST(ColumnarTrainer, BucketBoundariesMatchReference) {
+  ThreadGuard guard;
+  set_thread_count(2);
+  const Dataset data = tricky_dataset(240, 3, 71);
+  for (const int candidates : {1, 7, 31, 32, 40, 64}) {
+    for (const double fraction : {0.5, 1.5}) {
+      for (const int mtry : {0, static_cast<int>(data.feature_count())}) {
+        ForestConfig config;
+        config.num_trees = 4;
+        config.seed = 9;
+        config.bootstrap_fraction = fraction;
+        config.tree.threshold_candidates = candidates;
+        config.tree.mtry = mtry;
+        RandomForest forest(config);
+        forest.fit(data);
+        EXPECT_EQ(serialized(forest), serialized(reference_forest(data, config)))
+            << "candidates " << candidates << " bootstrap " << fraction << " mtry " << mtry;
+      }
     }
   }
 }

@@ -9,7 +9,10 @@
 //     allocations per subframe. What is left is timer-wheel buckets still
 //     growing toward their peak occupancy over many 4 s laps, connection
 //     set-up and release (eNB contexts, RNTI bookkeeping) and new app
-//     sessions.
+//     sessions;
+//   - one DecisionTree::fit allocates at most once per leaf (its class
+//     distribution) plus a fixed budget for node-vector growth and
+//     fit-scoped scratch: nodes reuse the scratch, they allocate nothing.
 //
 // It is its own executable because the counting operator new is global.
 #include <gtest/gtest.h>
@@ -24,9 +27,13 @@
 
 #include "apps/population.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "features/dataset.hpp"
+#include "features/matrix.hpp"
 #include "lte/network.hpp"
 #include "lte/observer.hpp"
 #include "lte/operator_profile.hpp"
+#include "ml/decision_tree.hpp"
 
 namespace {
 
@@ -167,6 +174,34 @@ TEST(SteadyStateAlloc, CityLiveCityStaysUnderQuarterAllocationPerSubframe) {
       static_cast<double>(allocations() - start) / static_cast<double>(kSubframes);
   EXPECT_LE(per_subframe, 0.25);
   RecordProperty("allocations_per_subframe", std::to_string(per_subframe));
+}
+
+TEST(SteadyStateAlloc, TreeFitAllocatesOncePerLeafPlusFixedScratch) {
+  Rng rng(3);
+  features::Dataset data;
+  data.feature_names = {"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"};
+  data.label_names.resize(5);
+  for (int i = 0; i < 3'000; ++i) {
+    const int label = static_cast<int>(rng.index(5));
+    features::FeatureVector x(data.feature_names.size());
+    for (std::size_t f = 0; f < x.size(); ++f) x[f] = rng.normal(label * (f % 3 == 0), 1.5);
+    data.add(std::move(x), label);
+  }
+  const features::DatasetMatrix matrix(data);
+  std::vector<std::size_t> bootstrap(matrix.rows());
+  for (auto& row : bootstrap) row = rng.index(matrix.rows());
+  ml::TreeConfig config;
+  config.mtry = 3;
+  ml::DecisionTree tree(config, 5);
+
+  const std::uint64_t start = allocations();
+  tree.fit(matrix, bootstrap, 5);
+  const std::uint64_t allocated = allocations() - start;
+
+  std::uint64_t leaves = 0;
+  for (const auto& node : tree.export_nodes()) leaves += node.feature < 0 ? 1 : 0;
+  ASSERT_GT(tree.node_count(), 500);
+  EXPECT_LE(allocated, leaves + 64) << "allocated " << allocated << " nodes " << tree.node_count() << " leaves " << leaves;
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 #      the forced-scalar suites and the CLI smokes (synth -> scan, a
 #      negative replay --speed rejected, an unknown flag rejected, live
 #      synth, train -> collect -> classify) and e2ebench/smoke_test.py
-#   4. when the compiler supports them: the ASan+UBSan decoder suites and
-#      the TSan parallel/attack suites (skip with --no-sanitizers)
+#   4. when the compiler supports them: the ASan+UBSan decoder and trainer
+#      suites and the TSan parallel/attack/trainer suites (skip with
+#      --no-sanitizers)
 #
 # Modes:
 #   tools/check.sh              full gate
@@ -224,20 +225,20 @@ fi
 
 if [[ "$sanitizers" == 1 ]]; then
   if sanitizer_works -fsanitize=address; then
-    step "ASan+UBSan decoder suites"
+    step "ASan+UBSan decoder and trainer suites"
     cmake -B "$ROOT/build-asan" -S "$ROOT" -DLTEFP_SANITIZE=address >/dev/null
     cmake --build "$ROOT/build-asan" -j"$JOBS"
     ctest --test-dir "$ROOT/build-asan" -j"$JOBS" --output-on-failure \
-      -R 'TraceStore|Trace|Sniffer|Csv|MappedV2|BlockCodec|MmapToggle|CorpusV2|Synth|Varint'
+      -R 'TraceStore|Trace|Sniffer|Csv|MappedV2|BlockCodec|MmapToggle|CorpusV2|Synth|Varint|ColumnarTrainer'
   else
     echo "ASan unavailable in this toolchain; skipping"
   fi
   if sanitizer_works -fsanitize=thread; then
-    step "TSan parallel/attack suites"
+    step "TSan parallel/attack/trainer suites"
     cmake -B "$ROOT/build-tsan" -S "$ROOT" -DLTEFP_SANITIZE=thread >/dev/null
     cmake --build "$ROOT/build-tsan" -j"$JOBS"
     LTEFP_THREADS=4 ctest --test-dir "$ROOT/build-tsan" -j"$JOBS" --output-on-failure \
-      -R 'Parallel|BitIdentity|Attack|Stream|Spsc|CityEngine|Mobility'
+      -R 'Parallel|BitIdentity|Attack|Stream|Spsc|CityEngine|Mobility|ColumnarTrainer'
   else
     echo "TSan unavailable in this toolchain; skipping"
   fi
