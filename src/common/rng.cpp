@@ -53,13 +53,7 @@ Rng Rng::fork() { return Rng((*this)()); }
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
   if (range == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit span
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = max() - max() % range;
-  std::uint64_t v;
-  do {
-    v = (*this)();
-  } while (v >= limit);
-  return lo + static_cast<std::int64_t>(v % range);
+  return lo + static_cast<std::int64_t>(index(IndexBounds(range)));
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -110,8 +104,17 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::size_t Rng::index(std::size_t size) {
-  return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(size) - 1));
+Rng::IndexBounds::IndexBounds(std::uint64_t size) : range(size), limit(max() - max() % range) {}
+
+std::size_t Rng::index(std::size_t size) { return index(IndexBounds(size)); }
+
+std::size_t Rng::index(const IndexBounds& bounds) {
+  // Rejection sampling to remove modulo bias.
+  std::uint64_t v;
+  do {
+    v = (*this)();
+  } while (v >= bounds.limit);
+  return static_cast<std::size_t>(v % bounds.range);
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {

@@ -73,6 +73,16 @@ class Rng {
   /// Uniformly chosen index into a container of the given size. Requires size > 0.
   std::size_t index(std::size_t size);
 
+  /// The rejection bounds of `index(size)`, computed once for a loop that
+  /// draws many indices from one size: `index(bounds)` then skips a 64-bit
+  /// division per draw and returns exactly what `index(size)` would.
+  struct IndexBounds {
+    explicit IndexBounds(std::uint64_t size);  // requires size > 0
+    std::uint64_t range;
+    std::uint64_t limit;  // largest multiple of range <= max(); draws >= it are redrawn
+  };
+  std::size_t index(const IndexBounds& bounds);
+
   /// Uniformly chosen element.
   template <typename T>
   const T& pick(std::span<const T> items) {

@@ -27,7 +27,7 @@ void StreamingWindower::feed(const sniffer::TraceRecord& r, std::vector<WindowSl
   // interarrival seam untouched.
   if (r.time < session_start_) return;
 
-  while (r.time >= ws_ + config_.window_ms) close_window(out);
+  close_until(r.time, out);
 
   // Interarrival seam: the previous frame is the last frame in this window,
   // or — for the window's first frame — the last frame of the previous
@@ -66,7 +66,15 @@ void StreamingWindower::feed(const sniffer::TraceRecord& r, std::vector<WindowSl
 }
 
 void StreamingWindower::close_until(TimeMs watermark, std::vector<WindowSlice>& out) {
-  while (ws_ + config_.window_ms <= watermark) close_window(out);
+  while (ws_ + config_.window_ms <= watermark) {
+    if (sizes_.empty() && !config_.include_empty) {
+      // Closing an empty window emits nothing and leaves the accumulators
+      // as they are (reset), so a whole idle run closes in one step.
+      ws_ += (watermark - ws_) / config_.window_ms * config_.window_ms;
+      return;
+    }
+    close_window(out);
+  }
 }
 
 void StreamingWindower::finish(std::vector<WindowSlice>& out) {

@@ -16,6 +16,8 @@
 namespace ltefp::lte {
 
 /// CRC-16/CCITT (polynomial 0x1021, init 0x0000) over a byte payload.
+/// Table-driven (slice-by-8, 4 KiB of constexpr tables); the one CRC kernel
+/// behind DCI masking, RNTI recovery and every .ltt chunk and trailer check.
 std::uint16_t crc16(std::span<const std::uint8_t> payload);
 
 /// CRC parity masked with the RNTI, as transmitted on the PDCCH.

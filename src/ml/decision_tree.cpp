@@ -114,6 +114,7 @@ int DecisionTree::build(std::size_t begin, std::size_t end, int depth) {
   double best_score = node_gini;  // must strictly improve
   const std::size_t candidates = s.threshold.size();
   const std::size_t padded = s.sorted.size();
+  const Rng::IndexBounds node_rows(n);
 
   for (const std::size_t f : s.tried) {
     const double* col = matrix_->column(f).data();
@@ -131,8 +132,8 @@ int DecisionTree::build(std::size_t begin, std::size_t end, int depth) {
     // did: midpoints between two random node values concentrate
     // candidates where the data mass is.
     for (std::size_t c = 0; c < candidates; ++c) {
-      const double a = s.values[rng_.index(n)];
-      const double b = s.values[rng_.index(n)];
+      const double a = s.values[rng_.index(node_rows)];
+      const double b = s.values[rng_.index(node_rows)];
       s.threshold[c] = a == b ? (a + lo + (hi - lo) * rng_.uniform()) / 2.0 : (a + b) / 2.0;
     }
 

@@ -40,7 +40,8 @@ void RandomForest::fit_rows(const features::DatasetMatrix& train,
   trees_ = parallel_map(static_cast<std::size_t>(config_.num_trees), [&](std::size_t t) {
     Rng rng(derive_seed({config_.seed, static_cast<std::uint64_t>(t)}));
     std::vector<std::size_t> bootstrap(n_boot);
-    for (auto& idx : bootstrap) idx = rows[rng.index(rows.size())];
+    const Rng::IndexBounds draw(rows.size());
+    for (auto& idx : bootstrap) idx = rows[rng.index(draw)];
     DecisionTree tree(tree_config, rng());
     tree.fit(train, bootstrap, num_classes);
     return tree;

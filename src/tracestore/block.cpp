@@ -26,7 +26,10 @@ inline std::uint32_t hash4(const std::uint8_t* p) {
 
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> raw) {
   ByteWriter out;
-  std::vector<std::uint32_t> table(kHashSize, kNoPos);
+  // One match table per thread, reset in place: a fresh 128 KiB table per
+  // chunk was an allocation and a page-faulting fill on every chunk.
+  thread_local std::vector<std::uint32_t> table(kHashSize);
+  std::fill(table.begin(), table.end(), kNoPos);
   const std::size_t n = raw.size();
   std::size_t pos = 0;
   std::size_t lit_start = 0;

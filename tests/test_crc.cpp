@@ -2,10 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace ltefp::lte {
 namespace {
+
+// The definition of the CRC, one bit at a time: the reference the
+// table-driven crc16 must match on every input.
+std::uint16_t bitwise_crc16(std::span<const std::uint8_t> payload) {
+  std::uint16_t crc = 0x0000;
+  for (std::uint8_t byte : payload) {
+    crc ^= static_cast<std::uint16_t>(byte) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                           : static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
 
 TEST(Crc16, KnownVector) {
   // CRC-16/XMODEM ("123456789") = 0x31C3 — same polynomial/init as
@@ -28,6 +53,38 @@ TEST(Crc16, DetectsSingleBitFlips) {
       corrupted[byte] ^= static_cast<std::uint8_t>(1u << bit);
       EXPECT_NE(crc16(corrupted), original)
           << "undetected flip at byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+TEST(Crc16, MatchesBitwiseOracleAtEveryLengthAndOffset) {
+  // Lengths 0..256 cover every tail length behind 0..32 whole 8-byte
+  // slices; offsets 0..7 start the slices at every byte alignment.
+  const auto buffer = random_bytes(256 + 8, 0xC3C);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::span<const std::uint8_t> payload(buffer.data() + offset, len);
+      ASSERT_EQ(crc16(payload), bitwise_crc16(payload))
+          << "length " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc16, MatchesBitwiseOracleOnOneMebibyte) {
+  const auto buffer = random_bytes(std::size_t{1} << 20, 20);
+  EXPECT_EQ(crc16(buffer), bitwise_crc16(buffer));
+}
+
+TEST(Crc16, DetectsEverySingleBitFlipInAChunkSizedPayload) {
+  // 32,768 flips across 512 slices: every byte position within a slice,
+  // so a wrong table at any slice seam shows.
+  auto payload = random_bytes(4096, 4096);
+  const std::uint16_t original = crc16(payload);
+  for (std::size_t byte = 0; byte < payload.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      payload[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_NE(crc16(payload), original) << "undetected flip at byte " << byte << " bit " << bit;
+      payload[byte] ^= static_cast<std::uint8_t>(1u << bit);
     }
   }
 }

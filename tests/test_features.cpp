@@ -77,6 +77,43 @@ TEST(ExtractWindows, GapBeforeTracksCrossWindowSilence) {
   EXPECT_NEAR(windows[1][15], 3'950.0, 1e-9);
 }
 
+TEST(StreamingWindower, IdleGapNearCutoffThenResume) {
+  // Session anchored at 1 s; two frames, 59.9 s of silence, then three more.
+  const Trace t{rec(1'020, 100), rec(1'050, 100), rec(60'950, 200), rec(60'990, 200),
+                rec(61'120, 300)};
+  const auto check = [](const std::vector<WindowSlice>& slices) {
+    ASSERT_EQ(slices.size(), 3u);
+    EXPECT_EQ(slices[0].window_end, 1'100);
+    EXPECT_EQ(slices[1].window_end, 61'000);
+    EXPECT_EQ(slices[2].window_end, 61'200);
+    EXPECT_EQ(slices[1].features[15], 59'850.0);        // gap_before_ms: 60,900 - 1,050
+    EXPECT_NEAR(slices[1].features[8], 59.9, 1e-9);     // cumulative_time (s)
+    EXPECT_EQ(slices[1].features[6], 29'970.0);         // interarrival (59,900 + 40) / 2
+    EXPECT_EQ(slices[2].features[15], 110.0);
+    EXPECT_NEAR(slices[2].features[8], 60.1, 1e-9);
+  };
+
+  std::vector<WindowSlice> fed;
+  StreamingWindower by_feed(1'000, WindowConfig{});
+  for (const auto& r : t) by_feed.feed(r, fed);
+  by_feed.finish(fed);
+  check(fed);
+
+  // Watermark ticks inside the gap, and on a window boundary, change nothing.
+  std::vector<WindowSlice> ticked;
+  StreamingWindower by_tick(1'000, WindowConfig{});
+  by_tick.feed(t[0], ticked);
+  by_tick.feed(t[1], ticked);
+  for (const TimeMs wm : {1'099, 1'100, 30'037, 60'900, 60'950}) by_tick.close_until(wm, ticked);
+  for (std::size_t i = 2; i < t.size(); ++i) by_tick.feed(t[i], ticked);
+  by_tick.finish(ticked);
+  EXPECT_EQ(ticked, fed);
+
+  WindowConfig with_empty;
+  with_empty.include_empty = true;
+  EXPECT_EQ(extract_windows(t, 1'000, with_empty).size(), 602u);  // every window to 61,200
+}
+
 TEST(ExtractWindows, RntiChurnCounted) {
   const Trace t{rec(10, 100, lte::Direction::kDownlink, 0x100),
                 rec(20, 100, lte::Direction::kDownlink, 0x200)};
