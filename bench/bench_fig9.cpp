@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     collect.background_apps = bg;
 
     // Test windows come from YouTube sessions polluted by `bg` apps.
-    ml::ConfusionMatrix cm(apps::kNumApps);
+    features::Dataset test;
     std::size_t noise_instances = 0;
     attacks::TraceVerdict last_verdict;
     const int sessions = quick ? 2 : 3;
@@ -53,17 +53,15 @@ int main(int argc, char** argv) {
       collect.seed = 4000 + 31ULL * static_cast<std::uint64_t>(bg) + static_cast<std::uint64_t>(i);
       const attacks::CollectedTrace capture =
           attacks::collect_trace(apps::AppId::kYoutube, collect);
-      features::Dataset test;
       features::append_windows(test, capture.trace, capture.session_start, window,
                                static_cast<int>(apps::AppId::kYoutube));
-      for (const auto& s : test.samples) {
-        cm.add(s.label, pipeline.predict_window(s.features));
-      }
       // Rough proxy for the paper's "instances": records beyond what the
       // clean app itself would produce.
       noise_instances += capture.trace.size();
       last_verdict = pipeline.classify_trace(capture.trace, capture.session_start);
     }
+    // One batch predict over every session's windows.
+    const ml::ConfusionMatrix cm = pipeline.evaluate(test);
     const double f = cm.f_score(static_cast<int>(apps::AppId::kYoutube));
     if (baseline_instances < 0) baseline_instances = static_cast<double>(noise_instances);
     const double noise_only =

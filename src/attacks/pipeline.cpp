@@ -126,11 +126,6 @@ void FingerprintPipeline::train(const features::Dataset& train_set) {
   model_->fit(train_set);
 }
 
-int FingerprintPipeline::predict_window(const features::FeatureVector& x) const {
-  if (!model_) throw std::logic_error("FingerprintPipeline: not trained");
-  return model_->predict(x);
-}
-
 TraceVerdict FingerprintPipeline::classify_trace(const sniffer::Trace& trace,
                                                  TimeMs session_start) const {
   if (!model_) throw std::logic_error("FingerprintPipeline: not trained");

@@ -105,9 +105,6 @@ class FingerprintPipeline {
   /// batch vote bit for bit.
   const ml::Classifier* model() const { return model_.get(); }
 
-  /// Window-level prediction (label = AppId index).
-  int predict_window(const features::FeatureVector& x) const;
-
   /// Whole-trace verdict by majority vote over windows.
   TraceVerdict classify_trace(const sniffer::Trace& trace, TimeMs session_start) const;
 

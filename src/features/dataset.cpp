@@ -48,34 +48,13 @@ std::pair<Dataset, Dataset> train_test_split(const Dataset& data, double train_f
   return {std::move(train), std::move(test)};
 }
 
-void Standardizer::fit(const Dataset& data) {
-  if (data.empty()) throw std::invalid_argument("Standardizer::fit: empty dataset");
-  const std::size_t dims = data.samples.front().features.size();
-  mean_.assign(dims, 0.0);
-  stddev_.assign(dims, 0.0);
-  for (const auto& s : data.samples) {
-    for (std::size_t d = 0; d < dims; ++d) mean_[d] += s.features[d];
-  }
-  for (double& m : mean_) m /= static_cast<double>(data.size());
-  for (const auto& s : data.samples) {
-    for (std::size_t d = 0; d < dims; ++d) {
-      const double diff = s.features[d] - mean_[d];
-      stddev_[d] += diff * diff;
-    }
-  }
-  for (double& sd : stddev_) {
-    sd = std::sqrt(sd / static_cast<double>(data.size()));
-    if (sd < 1e-12) sd = 1.0;
-  }
-}
-
 void Standardizer::fit_rows(const DatasetMatrix& data, std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("Standardizer::fit_rows: empty row set");
   const std::size_t dims = data.cols();
   mean_.assign(dims, 0.0);
   stddev_.assign(dims, 0.0);
-  // Accumulate in (row, dim) order — the order fit() sees when handed the
-  // materialised subset — so the sums round identically.
+  // Accumulate in (row, dim) order, so a view and a copied subset of the
+  // same rows round identically.
   for (const std::uint32_t row : rows) {
     for (std::size_t d = 0; d < dims; ++d) mean_[d] += data.at(row, d);
   }
@@ -106,21 +85,11 @@ Standardizer Standardizer::from_params(std::vector<double> means,
   return st;
 }
 
-FeatureVector Standardizer::transform(const FeatureVector& x) const {
-  FeatureVector out(x.size());
-  transform(x, out);
-  return out;
-}
-
 void Standardizer::transform(std::span<const double> x, std::span<double> out) const {
   if (x.size() != mean_.size() || out.size() != mean_.size()) {
     throw std::invalid_argument("Standardizer: dim mismatch");
   }
   for (std::size_t d = 0; d < x.size(); ++d) out[d] = (x[d] - mean_[d]) / stddev_[d];
-}
-
-void Standardizer::transform_in_place(Dataset& data) const {
-  for (auto& s : data.samples) s.features = transform(s.features);
 }
 
 }  // namespace ltefp::features

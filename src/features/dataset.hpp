@@ -49,17 +49,13 @@ std::pair<Dataset, Dataset> train_test_split(const Dataset& data, double train_f
 /// Z-score standardisation fitted on one dataset, applied to any other.
 class Standardizer {
  public:
-  /// Fits mean/stddev per feature. Constant features get stddev 1.
-  void fit(const Dataset& data);
-  /// Fits on a row subset of a columnar matrix — same accumulation order
-  /// as fitting the materialised subset, so the parameters are
-  /// bit-identical.
+  /// Fits mean/stddev per feature over a row subset of a columnar matrix,
+  /// accumulating in row order. Constant features get stddev 1. Throws
+  /// std::invalid_argument on an empty row set.
   void fit_rows(const DatasetMatrix& data, std::span<const std::uint32_t> rows);
-  FeatureVector transform(const FeatureVector& x) const;
   /// Allocation-free transform into caller-owned scratch. `x` and `out`
   /// may alias; both must match the fitted dimensionality.
   void transform(std::span<const double> x, std::span<double> out) const;
-  void transform_in_place(Dataset& data) const;
   bool fitted() const { return !mean_.empty(); }
 
   const std::vector<double>& means() const { return mean_; }

@@ -84,26 +84,9 @@ void DatasetMatrix::gather_row(std::size_t row, std::span<double> out) const {
   }
 }
 
-FeatureVector DatasetMatrix::row_vector(std::size_t row) const {
-  FeatureVector out(cols());
-  gather_row(row, out);
-  return out;
-}
-
 std::vector<std::uint32_t> DatasetMatrix::all_rows() const {
   std::vector<std::uint32_t> out(rows());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<std::uint32_t>(i);
-  return out;
-}
-
-Dataset DatasetMatrix::materialize(std::span<const std::uint32_t> rows) const {
-  Dataset out;
-  out.feature_names = feature_names_;
-  out.label_names = label_names_;
-  out.samples.reserve(rows.size());
-  for (const std::uint32_t row : rows) {
-    out.add(row_vector(row), labels_[row]);
-  }
   return out;
 }
 
@@ -113,7 +96,7 @@ DatasetMatrix DatasetMatrix::with_labels(std::vector<int> labels,
     throw std::invalid_argument("DatasetMatrix::with_labels: one label per row required");
   }
   DatasetMatrix out;
-  out.store_ = store_;  // share columns and argsort cache
+  out.store_ = store_;  // share the columns
   out.labels_ = std::move(labels);
   out.feature_names_ = feature_names_;
   out.label_names_ = std::move(label_names);
@@ -139,24 +122,6 @@ DatasetMatrix DatasetMatrix::with_column(std::size_t f,
   out.feature_names_ = feature_names_;
   out.label_names_ = label_names_;
   return out;
-}
-
-std::span<const std::uint32_t> DatasetMatrix::sorted_order(std::size_t f) const {
-  const ColumnStore& store = *store_;
-  std::call_once(store.argsort_once, [&store] {
-    store.argsort.resize(store.cols * store.rows);
-    for (std::size_t c = 0; c < store.cols; ++c) {
-      std::uint32_t* block = store.argsort.data() + c * store.rows;
-      for (std::size_t i = 0; i < store.rows; ++i) block[i] = static_cast<std::uint32_t>(i);
-      const double* col = store.values.data() + c * store.rows;
-      // Ties broken by row index: the order is a pure function of the data,
-      // so every thread count (and every tree) sees the same permutation.
-      std::sort(block, block + store.rows, [col](std::uint32_t a, std::uint32_t b) {
-        return col[a] < col[b] || (col[a] == col[b] && a < b);
-      });
-    }
-  });
-  return {store.argsort.data() + f * store.rows, store.rows};
 }
 
 }  // namespace ltefp::features

@@ -1,23 +1,21 @@
 // Columnar (structure-of-arrays) view of a labeled dataset.
 //
 // The AoS `Dataset` (one FeatureVector per sample) is the collection-side
-// container; every ML hot path wants the transpose: one contiguous array
-// per feature plus a flat label array. `DatasetMatrix` is that transpose,
-// built once per dataset and then shared — classifiers fit and predict on
-// (matrix, row-index) views, so cross-validation folds and hierarchical
-// stages never deep-copy feature storage again.
+// container; every ML path wants the transpose: one contiguous array per
+// feature plus a flat label array. `DatasetMatrix` is that transpose,
+// built once per dataset and then shared. It is the only thing a learner
+// trains on: `Classifier::fit_rows` takes a (matrix, row-index) view, so
+// cross-validation folds and hierarchical stages never copy feature
+// storage, and `Classifier::fit(Dataset)` is a transpose plus that call.
 //
 // Storage is immutable after construction and held behind a shared_ptr:
 // `with_labels` makes a relabeled view (coarse groups, per-stage local
-// labels) that shares the feature columns. A per-column argsort is
-// available on request (`sorted_order`), computed lazily once and cached
-// in the shared store.
+// labels) that shares the feature columns.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,16 +68,11 @@ class DatasetMatrix {
 
   /// Copies row `row` into `out` (size must be cols()).
   void gather_row(std::size_t row, std::span<double> out) const;
-  FeatureVector row_vector(std::size_t row) const;
 
   /// Every row index in order — the "whole dataset" view.
   std::vector<std::uint32_t> all_rows() const;
 
-  /// Materialises a row subset back into an AoS Dataset (compatibility
-  /// path for classifiers without a columnar fit).
-  Dataset materialize(std::span<const std::uint32_t> rows) const;
-
-  /// A view sharing this matrix's feature columns (and argsort cache) with
+  /// A view sharing this matrix's feature columns with
   /// different labels — how the hierarchical classifier derives its coarse
   /// and per-group stage datasets without copying features. `labels` must
   /// have one entry per row.
@@ -90,21 +83,14 @@ class DatasetMatrix {
   /// row). The column store is copied (it is immutable once shared), so
   /// the result is a self-contained matrix fit for the batch predict
   /// path — permutation importance swaps one permuted column in per round
-  /// this way. The argsort cache is not carried over.
+  /// this way.
   DatasetMatrix with_column(std::size_t f, std::span<const double> values) const;
-
-  /// Row indices of column `f` ordered by ascending value (ties by row).
-  /// Computed on first use and cached in the shared store; thread-safe.
-  std::span<const std::uint32_t> sorted_order(std::size_t f) const;
 
  private:
   struct ColumnStore {
     std::vector<double> values;  // column-major: values[f * rows + i]
     std::size_t rows = 0;
     std::size_t cols = 0;
-    // Lazy per-column argsort, cols blocks of rows indices each.
-    mutable std::vector<std::uint32_t> argsort;
-    mutable std::once_flag argsort_once;
   };
 
   std::shared_ptr<const ColumnStore> store_;

@@ -1,12 +1,19 @@
 #include "ml/classifier.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/parallel.hpp"
 
 namespace ltefp::ml {
 
-void Classifier::fit_rows(const features::DatasetMatrix& train,
-                          std::span<const std::uint32_t> rows) {
-  fit(train.materialize(rows));
+void Classifier::fit(const Dataset& train) {
+  const features::DatasetMatrix matrix(train);
+  fit_rows(matrix, matrix.all_rows());
+}
+
+void Classifier::fit_rows(const features::DatasetMatrix&, std::span<const std::uint32_t>) {
+  throw std::logic_error(std::string(name()) + ": no row-view training");
 }
 
 std::vector<int> Classifier::predict_rows(const features::DatasetMatrix& data,

@@ -1,5 +1,10 @@
 // Common interface for the supervised learners benchmarked by the paper's
 // Table VIII (Logistic Regression, kNN, CNN, Random Forest).
+//
+// Every learner trains on one entry point: `fit_rows`, a row subset of a
+// columnar `DatasetMatrix`. `fit(Dataset)` is a convenience that transposes
+// once and forwards to it, so a cross-validation fold, a hierarchical
+// stage and a whole dataset all run the same training arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +24,17 @@ class Classifier {
  public:
   virtual ~Classifier() = default;
 
-  /// Trains on the dataset. Implementations may standardise internally.
-  virtual void fit(const Dataset& train) = 0;
+  /// Trains on every sample of `train`: transposes it once and calls
+  /// fit_rows() over all rows (an empty dataset is an empty row set, which
+  /// every learner rejects with std::invalid_argument). Virtual only so
+  /// wrappers that hold an already trained model can refuse training;
+  /// learners override fit_rows() instead.
+  virtual void fit(const Dataset& train);
 
   /// Trains on a row subset of a columnar matrix — the zero-copy path
-  /// cross-validation folds and hierarchical stages use. The default
-  /// materialises the subset and calls fit(); columnar learners override
-  /// it. Implementations must produce a model bit-identical to fitting
-  /// the materialised subset.
+  /// cross-validation folds and hierarchical stages use, and the one
+  /// every learner implements. The default throws std::logic_error: a
+  /// classifier without it cannot be trained.
   virtual void fit_rows(const features::DatasetMatrix& train,
                         std::span<const std::uint32_t> rows);
 

@@ -45,12 +45,6 @@ void Cnn1D::forward(const FeatureVector& std_x, Activations& act) const {
   for (double& z : act.proba) z /= sum;
 }
 
-void Cnn1D::fit(const Dataset& train) {
-  if (train.empty()) throw std::invalid_argument("Cnn1D::fit: empty dataset");
-  const features::DatasetMatrix matrix(train);
-  fit_rows(matrix, matrix.all_rows());
-}
-
 void Cnn1D::fit_rows(const features::DatasetMatrix& train,
                      std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("Cnn1D::fit: empty dataset");
@@ -182,8 +176,10 @@ void Cnn1D::fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int
 
 std::vector<double> Cnn1D::predict_proba(const FeatureVector& x) const {
   if (dense_w_.empty()) throw std::logic_error("Cnn1D: not trained");
+  FeatureVector z(x.size());
+  standardizer_.transform(x, z);
   Activations act;
-  forward(standardizer_.transform(x), act);
+  forward(z, act);
   return act.proba;
 }
 

@@ -32,7 +32,6 @@ class Cnn1D final : public Classifier {
  public:
   explicit Cnn1D(CnnConfig config = {});
 
-  void fit(const Dataset& train) override;
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
   int predict(const FeatureVector& x) const override;

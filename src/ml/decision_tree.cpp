@@ -22,21 +22,6 @@ double gini_from_counts(std::span<const double> counts, double total) {
 DecisionTree::DecisionTree(TreeConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {}
 
-void DecisionTree::fit(const features::DatasetMatrix& data, int num_classes) {
-  std::vector<std::size_t> indices(data.rows());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  fit(data, indices, num_classes);
-}
-
-void DecisionTree::fit(const features::Dataset& data, int num_classes) {
-  fit(features::DatasetMatrix(data), num_classes);
-}
-
-void DecisionTree::fit(const features::Dataset& data, std::span<const std::size_t> indices,
-                       int num_classes) {
-  fit(features::DatasetMatrix(data), indices, num_classes);
-}
-
 void DecisionTree::fit(const features::DatasetMatrix& data,
                        std::span<const std::size_t> indices, int num_classes) {
   if (indices.empty()) throw std::invalid_argument("DecisionTree::fit: no samples");
@@ -234,11 +219,6 @@ const DecisionTree::Node& DecisionTree::leaf_for(const features::FeatureVector& 
     node = &nodes_[static_cast<std::size_t>(x[f] <= node->threshold ? node->left : node->right)];
   }
   return *node;
-}
-
-int DecisionTree::predict(const features::FeatureVector& x) const {
-  const auto& proba = leaf_for(x).proba;
-  return static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
 }
 
 const std::vector<double>& DecisionTree::predict_proba(const features::FeatureVector& x) const {

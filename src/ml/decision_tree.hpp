@@ -49,15 +49,7 @@ class DecisionTree {
   void fit(const features::DatasetMatrix& data, std::span<const std::size_t> indices,
            int num_classes);
 
-  /// Fits on every row of the matrix.
-  void fit(const features::DatasetMatrix& data, int num_classes);
-
-  /// AoS convenience overloads: transpose once, then fit columnar.
-  void fit(const features::Dataset& data, std::span<const std::size_t> indices,
-           int num_classes);
-  void fit(const features::Dataset& data, int num_classes);
-
-  int predict(const features::FeatureVector& x) const;
+  /// Leaf class distribution for one feature vector.
   const std::vector<double>& predict_proba(const features::FeatureVector& x) const;
 
   /// Columnar traversal: leaf distribution for one matrix row.

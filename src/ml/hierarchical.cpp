@@ -14,12 +14,6 @@ HierarchicalClassifier::HierarchicalClassifier(std::function<int(int)> group_of,
   if (num_groups_ < 1) throw std::invalid_argument("HierarchicalClassifier: bad group count");
 }
 
-void HierarchicalClassifier::fit(const Dataset& train) {
-  if (train.empty()) throw std::invalid_argument("HierarchicalClassifier::fit: empty dataset");
-  const features::DatasetMatrix matrix(train);
-  fit_rows(matrix, matrix.all_rows());
-}
-
 void HierarchicalClassifier::fit_rows(const features::DatasetMatrix& train,
                                       std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("HierarchicalClassifier::fit: empty dataset");

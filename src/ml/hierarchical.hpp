@@ -30,7 +30,6 @@ class HierarchicalClassifier final : public Classifier {
   /// provides, typically RandomForest).
   HierarchicalClassifier(std::function<int(int)> group_of, int num_groups, Factory factory);
 
-  void fit(const Dataset& train) override;
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
   int predict(const FeatureVector& x) const override;

@@ -14,12 +14,6 @@ Knn::Knn(KnnConfig config) : config_(config) {
   if (config_.k < 1) throw std::invalid_argument("Knn: k must be >= 1");
 }
 
-void Knn::fit(const Dataset& train) {
-  if (train.empty()) throw std::invalid_argument("Knn::fit: empty dataset");
-  const features::DatasetMatrix matrix(train);
-  fit_rows(matrix, matrix.all_rows());
-}
-
 void Knn::fit_rows(const features::DatasetMatrix& train,
                    std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("Knn::fit: empty dataset");

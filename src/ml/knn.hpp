@@ -33,7 +33,6 @@ class Knn final : public Classifier {
     std::vector<double> proba;
   };
 
-  void fit(const Dataset& train) override;
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
   int predict(const FeatureVector& x) const override;

@@ -32,18 +32,6 @@ void LogisticRegression::softmax_scores(std::span<const double> std_x,
   for (double& z : scores) z /= sum;
 }
 
-std::vector<double> LogisticRegression::softmax_scores(const FeatureVector& std_x) const {
-  std::vector<double> scores(static_cast<std::size_t>(num_classes_));
-  softmax_scores(std_x, scores);
-  return scores;
-}
-
-void LogisticRegression::fit(const Dataset& train) {
-  if (train.empty()) throw std::invalid_argument("LogisticRegression::fit: empty dataset");
-  const features::DatasetMatrix matrix(train);
-  fit_rows(matrix, matrix.all_rows());
-}
-
 void LogisticRegression::fit_rows(const features::DatasetMatrix& train,
                                   std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("LogisticRegression::fit: empty dataset");
@@ -113,7 +101,11 @@ void LogisticRegression::fit_impl(const std::vector<FeatureVector>& xs,
 
 std::vector<double> LogisticRegression::predict_proba(const FeatureVector& x) const {
   if (weights_.empty()) throw std::logic_error("LogisticRegression: not trained");
-  return softmax_scores(standardizer_.transform(x));
+  FeatureVector z(x.size());
+  standardizer_.transform(x, z);
+  std::vector<double> scores(static_cast<std::size_t>(num_classes_));
+  softmax_scores(z, scores);
+  return scores;
 }
 
 int LogisticRegression::predict(const FeatureVector& x) const {

@@ -29,7 +29,6 @@ class LogisticRegression final : public Classifier {
  public:
   explicit LogisticRegression(LogRegConfig config = {});
 
-  void fit(const Dataset& train) override;
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
   int predict(const FeatureVector& x) const override;
@@ -45,7 +44,6 @@ class LogisticRegression final : public Classifier {
   /// Softmax over class scores of a standardised sample, written into
   /// caller-owned `scores` (size num_classes_). Allocation-free.
   void softmax_scores(std::span<const double> std_x, std::span<double> scores) const;
-  std::vector<double> softmax_scores(const FeatureVector& std_x) const;
   /// SGD core over pre-standardised samples; xs.size() == labels.size().
   void fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int>& labels,
                 int num_classes);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -11,12 +10,6 @@
 namespace ltefp::ml {
 
 RandomForest::RandomForest(ForestConfig config) : config_(config) {}
-
-void RandomForest::fit(const Dataset& train) {
-  if (train.empty()) throw std::invalid_argument("RandomForest::fit: empty dataset");
-  const features::DatasetMatrix matrix(train);
-  fit_rows(matrix, matrix.all_rows());
-}
 
 void RandomForest::fit_rows(const features::DatasetMatrix& train,
                             std::span<const std::uint32_t> rows) {

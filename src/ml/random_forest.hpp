@@ -2,8 +2,8 @@
 // "Number of tree = 100, Seed = 1"): bagged CART trees with per-node
 // feature subsampling, probability averaging across trees.
 //
-// fit() transposes the dataset into one columnar DatasetMatrix and grows
-// trees concurrently on the global pool: tree t's RNG is derived from
+// fit_rows() grows trees over a row view of one columnar DatasetMatrix,
+// concurrently on the global pool: tree t's RNG is derived from
 // (seed, t), so the forest is bit-identical at any thread count. Trees
 // share the matrix's feature columns read-only; each fit keeps its own
 // node scratch.
@@ -29,7 +29,6 @@ class RandomForest final : public Classifier {
  public:
   explicit RandomForest(ForestConfig config = {});
 
-  void fit(const Dataset& train) override;
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
   int predict(const FeatureVector& x) const override;

@@ -103,7 +103,7 @@ TEST(Pipeline, TrainEvaluateClassify) {
 
   FingerprintPipeline pipeline(config);
   EXPECT_FALSE(pipeline.trained());
-  EXPECT_THROW(pipeline.predict_window(test.samples[0].features), std::logic_error);
+  EXPECT_THROW(pipeline.evaluate(test), std::logic_error);
   pipeline.train(train);
   EXPECT_TRUE(pipeline.trained());
 

@@ -4,7 +4,7 @@
 //    serialized forests BYTE-identical to the original per-candidate
 //    rescan trainer (reimplemented here as a reference), at every seed
 //    and thread count;
-//  * fold/stage row views (fit_rows) must equal fitting the materialised
+//  * fold/stage row views (fit_rows) must equal fitting a hand-copied
 //    subset;
 //  * cross_val_accuracy must run copy-free through fit_rows/predict_rows.
 #include <gtest/gtest.h>
@@ -56,6 +56,16 @@ Dataset tricky_dataset(std::size_t n, int classes, std::uint64_t seed) {
              label);
   }
   return data;
+}
+
+// The rows of `data` listed in `rows`, copied sample by sample into a new
+// Dataset: the copying path that row views replace.
+Dataset copy_rows(const Dataset& data, std::span<const std::uint32_t> rows) {
+  Dataset out;
+  out.feature_names = data.feature_names;
+  out.label_names = data.label_names;
+  for (const std::uint32_t row : rows) out.samples.push_back(data.samples[row]);
+  return out;
 }
 
 double gini_of(std::span<const double> counts, double total) {
@@ -274,10 +284,12 @@ TEST(ColumnarTrainer, SingleClassGrowsOneLeaf) {
   data.feature_names = {"a", "b"};
   data.label_names.resize(1);
   for (int i = 0; i < 50; ++i) data.add({rng.uniform(), rng.uniform()}, 0);
+  std::vector<std::size_t> all(data.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   DecisionTree tree(TreeConfig{}, 3);
-  tree.fit(features::DatasetMatrix(data), 1);
+  tree.fit(features::DatasetMatrix(data), all, 1);
   EXPECT_EQ(tree.node_count(), 1);
-  EXPECT_EQ(tree.predict(data.samples[0].features), 0);
+  EXPECT_EQ(tree.predict_proba(data.samples[0].features), std::vector<double>{1.0});
 }
 
 TEST(ColumnarTrainer, ConstantFeatureDatasetStillMatchesReference) {
@@ -315,7 +327,7 @@ TEST(ColumnarTrainer, FitRowsMatchesMaterializedSubset) {
   RandomForest via_view(config);
   via_view.fit_rows(matrix, rows);
   RandomForest via_copy(config);
-  via_copy.fit(matrix.materialize(rows));
+  via_copy.fit(copy_rows(data, rows));
   EXPECT_EQ(serialized(via_view), serialized(via_copy));
 }
 
@@ -331,7 +343,7 @@ TEST(ColumnarTrainer, PredictRowsMatchesPerSamplePredict) {
   }
 }
 
-TEST(DatasetMatrixTest, RoundTripsThroughMaterialize) {
+TEST(DatasetMatrixTest, RoundTripsThroughGatherRow) {
   const Dataset data = tricky_dataset(40, 3, 17);
   const DatasetMatrix matrix(data);
   ASSERT_EQ(matrix.rows(), data.size());
@@ -342,27 +354,12 @@ TEST(DatasetMatrixTest, RoundTripsThroughMaterialize) {
       EXPECT_EQ(matrix.at(i, f), data.samples[i].features[f]);
     }
   }
-  const Dataset back = matrix.materialize(matrix.all_rows());
-  ASSERT_EQ(back.size(), data.size());
-  EXPECT_EQ(back.feature_names, data.feature_names);
-  EXPECT_EQ(back.label_names, data.label_names);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(back.samples[i].features, data.samples[i].features);
-    EXPECT_EQ(back.samples[i].label, data.samples[i].label);
-  }
-}
-
-TEST(DatasetMatrixTest, SortedOrderIsAscendingWithRowTieBreak) {
-  const Dataset data = tricky_dataset(60, 3, 19);
-  const DatasetMatrix matrix(data);
-  for (std::size_t f = 0; f < matrix.cols(); ++f) {
-    const auto order = matrix.sorted_order(f);
-    ASSERT_EQ(order.size(), matrix.rows());
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      const double prev = matrix.at(order[i - 1], f);
-      const double cur = matrix.at(order[i], f);
-      EXPECT_TRUE(prev < cur || (prev == cur && order[i - 1] < order[i]));
-    }
+  EXPECT_EQ(matrix.feature_names(), data.feature_names);
+  EXPECT_EQ(matrix.label_names(), data.label_names);
+  features::FeatureVector row(matrix.cols());
+  for (const std::uint32_t i : matrix.all_rows()) {
+    matrix.gather_row(i, row);
+    EXPECT_EQ(row, data.samples[i].features);
   }
 }
 
@@ -372,8 +369,9 @@ TEST(DatasetMatrixTest, WithLabelsSharesColumnStorage) {
   std::vector<int> coarse(matrix.rows());
   for (std::size_t i = 0; i < matrix.rows(); ++i) coarse[i] = matrix.label(i) % 2;
   const DatasetMatrix view = matrix.with_labels(coarse, {"even", "odd"});
-  EXPECT_EQ(view.column(0).data(), matrix.column(0).data());  // shared, not copied
-  EXPECT_EQ(view.sorted_order(1).data(), matrix.sorted_order(1).data());
+  for (std::size_t f = 0; f < matrix.cols(); ++f) {
+    EXPECT_EQ(view.column(f).data(), matrix.column(f).data());  // shared, not copied
+  }
   for (std::size_t i = 0; i < matrix.rows(); ++i) EXPECT_EQ(view.label(i), coarse[i]);
   EXPECT_THROW(matrix.with_labels({0, 1}, {}), std::invalid_argument);
 }
@@ -500,15 +498,24 @@ TEST(HierarchicalColumnar, FitRowsMatchesDatasetFit) {
   }
 }
 
-TEST(StandardizerColumnar, SpanTransformMatchesAllocatingTransform) {
+TEST(StandardizerColumnar, SpanTransformIsExactAndAliasSafe) {
+  // The span transform writes (x - mean) / stddev into caller scratch, and
+  // stays exact when `x` and `out` alias.
   const Dataset data = tricky_dataset(50, 2, 59);
+  const DatasetMatrix matrix(data);
   features::Standardizer standardizer;
-  standardizer.fit(data);
+  standardizer.fit_rows(matrix, matrix.all_rows());
   features::FeatureVector out(data.feature_count());
   for (const auto& s : data.samples) {
-    const auto expected = standardizer.transform(s.features);
+    features::FeatureVector expected(s.features.size());
+    for (std::size_t d = 0; d < expected.size(); ++d) {
+      expected[d] = (s.features[d] - standardizer.means()[d]) / standardizer.stddevs()[d];
+    }
     standardizer.transform(s.features, out);
     EXPECT_EQ(expected, out);
+    features::FeatureVector in_place = s.features;
+    standardizer.transform(in_place, in_place);
+    EXPECT_EQ(expected, in_place);
   }
 }
 
@@ -519,11 +526,11 @@ TEST(StandardizerColumnar, FitRowsMatchesFitOnMaterializedSubset) {
   for (std::uint32_t i = 0; i < matrix.rows(); i += 2) rows.push_back(i);
   features::Standardizer via_rows;
   via_rows.fit_rows(matrix, rows);
+  const DatasetMatrix copied(copy_rows(data, rows));
   features::Standardizer via_copy;
-  via_copy.fit(matrix.materialize(rows));
-  for (const auto& s : data.samples) {
-    EXPECT_EQ(via_rows.transform(s.features), via_copy.transform(s.features));
-  }
+  via_copy.fit_rows(copied, copied.all_rows());
+  EXPECT_EQ(via_rows.means(), via_copy.means());
+  EXPECT_EQ(via_rows.stddevs(), via_copy.stddevs());
 }
 
 }  // namespace

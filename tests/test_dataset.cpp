@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "features/matrix.hpp"
+
 namespace ltefp::features {
 namespace {
 
@@ -61,9 +63,10 @@ TEST(TrainTestSplit, InvalidFractionThrows) {
 TEST(Standardizer, ZeroMeanUnitVariance) {
   Rng rng(5);
   Dataset data = blob_dataset(1000, 1, rng);
+  const DatasetMatrix matrix(data);
   Standardizer st;
-  st.fit(data);
-  st.transform_in_place(data);
+  st.fit_rows(matrix, matrix.all_rows());
+  for (auto& s : data.samples) st.transform(s.features, s.features);
   double mean0 = 0.0, var0 = 0.0;
   for (const auto& s : data.samples) mean0 += s.features[0];
   mean0 /= static_cast<double>(data.size());
@@ -77,9 +80,12 @@ TEST(Standardizer, ConstantFeatureSafe) {
   Dataset data;
   data.label_names = {"a"};
   for (int i = 0; i < 10; ++i) data.add({7.0, static_cast<double>(i)}, 0);
+  const DatasetMatrix matrix(data);
   Standardizer st;
-  st.fit(data);
-  const auto out = st.transform({7.0, 4.5});
+  st.fit_rows(matrix, matrix.all_rows());
+  const FeatureVector x{7.0, 4.5};
+  FeatureVector out(2);
+  st.transform(x, out);
   EXPECT_EQ(out[0], 0.0);  // (7-7)/1
   EXPECT_TRUE(std::isfinite(out[1]));
 }
@@ -88,14 +94,21 @@ TEST(Standardizer, DimMismatchThrows) {
   Dataset data;
   data.label_names = {"a"};
   data.add({1.0, 2.0}, 0);
+  const DatasetMatrix matrix(data);
   Standardizer st;
-  st.fit(data);
-  EXPECT_THROW(st.transform({1.0}), std::invalid_argument);
+  st.fit_rows(matrix, matrix.all_rows());
+  const FeatureVector short_x{1.0};
+  const FeatureVector x{1.0, 2.0};
+  FeatureVector out(2);
+  FeatureVector short_out(1);
+  EXPECT_THROW(st.transform(short_x, out), std::invalid_argument);
+  EXPECT_THROW(st.transform(x, short_out), std::invalid_argument);
 }
 
 TEST(Standardizer, FitEmptyThrows) {
+  const DatasetMatrix matrix{Dataset{}};
   Standardizer st;
-  EXPECT_THROW(st.fit(Dataset{}), std::invalid_argument);
+  EXPECT_THROW(st.fit_rows(matrix, matrix.all_rows()), std::invalid_argument);
   EXPECT_FALSE(st.fitted());
 }
 

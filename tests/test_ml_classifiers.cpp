@@ -5,8 +5,10 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <numeric>
 
 #include "common/rng.hpp"
+#include "features/matrix.hpp"
 #include "ml/cnn.hpp"
 #include "ml/knn.hpp"
 #include "ml/logreg.hpp"
@@ -90,6 +92,35 @@ TEST_P(AllClassifiers, PredictMatchesArgmaxProba) {
     const int argmax = static_cast<int>(
         std::max_element(proba.begin(), proba.end()) - proba.begin());
     EXPECT_EQ(model->predict(x), argmax) << GetParam().label;
+  }
+}
+
+// Training on a row view of a matrix is the same as training on a copy of
+// those rows: every other row through fit_rows, against the hand-copied
+// subset through fit, must give every row the same label and bit-identical
+// probabilities.
+TEST_P(AllClassifiers, FitRowsOnSubsetMatchesCopiedSubset) {
+  Rng rng(14);
+  const Dataset data = gaussian_blobs(40, 3, 2.0, rng);
+  const features::DatasetMatrix matrix(data);
+  std::vector<std::uint32_t> rows;
+  Dataset copied;
+  copied.feature_names = data.feature_names;
+  copied.label_names = data.label_names;
+  for (std::uint32_t i = 0; i < matrix.rows(); i += 2) {
+    rows.push_back(i);
+    copied.samples.push_back(data.samples[i]);
+  }
+  auto via_rows = GetParam().make();
+  via_rows->fit_rows(matrix, rows);
+  auto via_copy = GetParam().make();
+  via_copy->fit(copied);
+  const auto all = matrix.all_rows();
+  EXPECT_EQ(via_rows->predict_rows(matrix, all), via_copy->predict_rows(matrix, all))
+      << GetParam().label;
+  for (const auto& s : data.samples) {
+    ASSERT_EQ(via_rows->predict_proba(s.features), via_copy->predict_proba(s.features))
+        << GetParam().label;
   }
 }
 
@@ -199,8 +230,10 @@ TEST(CnnSpecific, EvenKernelThrows) {
 TEST(DecisionTreeSpecific, RespectsMaxDepth) {
   Rng rng(26);
   const Dataset train = gaussian_blobs(200, 4, 1.0, rng);
+  std::vector<std::size_t> all(train.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   DecisionTree tree(TreeConfig{.max_depth = 3}, 1);
-  tree.fit(train, 4);
+  tree.fit(features::DatasetMatrix(train), all, 4);
   EXPECT_LE(tree.depth(), 3);
   EXPECT_TRUE(tree.trained());
 }
@@ -209,10 +242,12 @@ TEST(DecisionTreeSpecific, PureNodeBecomesLeafImmediately) {
   Dataset data;
   data.label_names = {"only"};
   for (int i = 0; i < 20; ++i) data.add({static_cast<double>(i)}, 0);
+  std::vector<std::size_t> all(data.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   DecisionTree tree;
-  tree.fit(data, 1);
+  tree.fit(features::DatasetMatrix(data), all, 1);
   EXPECT_EQ(tree.node_count(), 1);
-  EXPECT_EQ(tree.predict({5.0}), 0);
+  EXPECT_EQ(tree.predict_proba({5.0}), std::vector<double>{1.0});
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "features/matrix.hpp"
 
 namespace ltefp::ml {
 namespace {
@@ -129,13 +130,18 @@ TEST(ForestSerialization, HandCraftedStumpWorks) {
 TEST(StandardizerSerialization, RoundTrip) {
   Rng rng(2);
   const Dataset data = blobs(rng, 50, 2);
+  const features::DatasetMatrix matrix(data);
   features::Standardizer original;
-  original.fit(data);
+  original.fit_rows(matrix, matrix.all_rows());
   std::stringstream buffer;
   save_standardizer(buffer, original);
   const features::Standardizer reloaded = load_standardizer(buffer);
   const features::FeatureVector probe{1.0, -2.0, 0.5, 3.0};
-  EXPECT_EQ(original.transform(probe), reloaded.transform(probe));
+  features::FeatureVector want(probe.size());
+  features::FeatureVector got(probe.size());
+  original.transform(probe, want);
+  reloaded.transform(probe, got);
+  EXPECT_EQ(want, got);
 }
 
 TEST(StandardizerSerialization, UnfittedRefusesToSave) {
