@@ -1,5 +1,6 @@
 #include "ml/classifier.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +17,11 @@ void Classifier::fit_rows(const features::DatasetMatrix&, std::span<const std::u
   throw std::logic_error(std::string(name()) + ": no row-view training");
 }
 
+int Classifier::predict(const FeatureVector& x) const {
+  const auto proba = predict_proba(x);
+  return static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
+}
+
 std::vector<int> Classifier::predict_rows(const features::DatasetMatrix& data,
                                           std::span<const std::uint32_t> rows) const {
   // Chunk-parallel with one gather scratch per chunk: each prediction
@@ -28,6 +34,24 @@ std::vector<int> Classifier::predict_rows(const features::DatasetMatrix& data,
       out[i] = predict(x);
     }
   });
+  return out;
+}
+
+StandardizedRows standardize_rows(const features::DatasetMatrix& train,
+                                  std::span<const std::uint32_t> rows,
+                                  features::Standardizer& standardizer) {
+  standardizer.fit_rows(train, rows);
+  StandardizedRows out;
+  out.dims = train.cols();
+  out.num_classes = static_cast<int>(train.class_histogram(rows).size());
+  out.values.resize(rows.size() * out.dims);
+  out.labels.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::span<double> z(out.values.data() + i * out.dims, out.dims);
+    train.gather_row(rows[i], z);
+    standardizer.transform(z, z);
+    out.labels.push_back(train.label(rows[i]));
+  }
   return out;
 }
 

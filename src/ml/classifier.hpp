@@ -4,7 +4,9 @@
 // Every learner trains on one entry point: `fit_rows`, a row subset of a
 // columnar `DatasetMatrix`. `fit(Dataset)` is a convenience that transposes
 // once and forwards to it, so a cross-validation fold, a hierarchical
-// stage and a whole dataset all run the same training arithmetic.
+// stage and a whole dataset all run the same training arithmetic. kNN,
+// logistic regression and the CNN, which learn on standardised features,
+// read their samples from one `StandardizedRows` buffer.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,9 @@ class Classifier {
   virtual void fit_rows(const features::DatasetMatrix& train,
                         std::span<const std::uint32_t> rows);
 
-  /// Predicted class label for one feature vector.
-  virtual int predict(const FeatureVector& x) const = 0;
+  /// Predicted class label for one feature vector. The default is the
+  /// first maximum of predict_proba(x).
+  virtual int predict(const FeatureVector& x) const;
 
   /// Batch prediction over matrix rows, in row order. The default gathers
   /// each row into reusable per-chunk scratch and calls predict();
@@ -52,5 +55,24 @@ class Classifier {
 
   virtual const char* name() const = 0;
 };
+
+/// A row view's samples, standardised, in view order: sample i's features
+/// are values[i * dims, (i + 1) * dims).
+struct StandardizedRows {
+  std::vector<double> values;  // row-major
+  std::vector<int> labels;
+  std::size_t dims = 0;
+  int num_classes = 0;  // class_histogram(rows).size()
+
+  std::size_t size() const { return labels.size(); }
+  std::span<const double> row(std::size_t i) const { return {values.data() + i * dims, dims}; }
+};
+
+/// Fits `standardizer` on the row view and writes the view's rows,
+/// standardised by it, into one buffer: a fixed number of allocations,
+/// none per row. Throws std::invalid_argument on an empty row set.
+StandardizedRows standardize_rows(const features::DatasetMatrix& train,
+                                  std::span<const std::uint32_t> rows,
+                                  features::Standardizer& standardizer);
 
 }  // namespace ltefp::ml

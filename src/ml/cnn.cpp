@@ -13,7 +13,7 @@ Cnn1D::Cnn1D(CnnConfig config) : config_(config) {
   if (config_.kernel % 2 == 0) throw std::invalid_argument("Cnn1D: kernel must be odd");
 }
 
-void Cnn1D::forward(const FeatureVector& std_x, Activations& act) const {
+void Cnn1D::forward(std::span<const double> std_x, Activations& act) const {
   const int half = config_.kernel / 2;
   act.conv.assign(static_cast<std::size_t>(config_.channels * dims_), 0.0);
   for (int ch = 0; ch < config_.channels; ++ch) {
@@ -48,27 +48,9 @@ void Cnn1D::forward(const FeatureVector& std_x, Activations& act) const {
 void Cnn1D::fit_rows(const features::DatasetMatrix& train,
                      std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("Cnn1D::fit: empty dataset");
-  standardizer_.fit_rows(train, rows);
-
-  std::vector<FeatureVector> xs;
-  std::vector<int> labels;
-  xs.reserve(rows.size());
-  labels.reserve(rows.size());
-  FeatureVector raw(train.cols());
-  for (const std::uint32_t row : rows) {
-    train.gather_row(row, raw);
-    FeatureVector z(raw.size());
-    standardizer_.transform(raw, z);
-    xs.push_back(std::move(z));
-    labels.push_back(train.label(row));
-  }
-  fit_impl(xs, labels, static_cast<int>(train.class_histogram(rows).size()));
-}
-
-void Cnn1D::fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int>& labels,
-                     int num_classes) {
-  dims_ = static_cast<int>(xs.front().size());
-  num_classes_ = num_classes;
+  const StandardizedRows xs = standardize_rows(train, rows, standardizer_);
+  dims_ = static_cast<int>(xs.dims);
+  num_classes_ = xs.num_classes;
 
   Rng rng(config_.seed);
   const auto he = [&](int fan_in) { return rng.normal(0.0, std::sqrt(2.0 / fan_in)); };
@@ -115,8 +97,9 @@ void Cnn1D::fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int
 
       for (std::size_t i = start; i < stop; ++i) {
         const std::size_t idx = order[i];
-        forward(xs[idx], act);
-        const int y = labels[idx];
+        const auto x = xs.row(idx);
+        forward(x, act);
+        const int y = xs.labels[idx];
 
         // dL/dlogits = proba - onehot
         std::vector<double> dlogits(act.proba);
@@ -145,7 +128,7 @@ void Cnn1D::fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int
             for (int k = 0; k < config_.kernel; ++k) {
               const int src = pos + k - half;
               if (src < 0 || src >= dims_) continue;
-              gw[static_cast<std::size_t>(k)] += dz * xs[idx][static_cast<std::size_t>(src)];
+              gw[static_cast<std::size_t>(k)] += dz * x[static_cast<std::size_t>(src)];
             }
             conv_b_g[static_cast<std::size_t>(ch)] += dz;
           }
@@ -181,11 +164,6 @@ std::vector<double> Cnn1D::predict_proba(const FeatureVector& x) const {
   Activations act;
   forward(z, act);
   return act.proba;
-}
-
-int Cnn1D::predict(const FeatureVector& x) const {
-  const auto proba = predict_proba(x);
-  return static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
 }
 
 }  // namespace ltefp::ml

@@ -34,7 +34,6 @@ class Cnn1D final : public Classifier {
 
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
-  int predict(const FeatureVector& x) const override;
   std::vector<double> predict_proba(const FeatureVector& x) const override;
   const char* name() const override { return "CNN"; }
 
@@ -44,10 +43,7 @@ class Cnn1D final : public Classifier {
     std::vector<double> logits;  // [classes]
     std::vector<double> proba;   // [classes]
   };
-  void forward(const FeatureVector& std_x, Activations& act) const;
-  /// SGD core over pre-standardised samples; xs.size() == labels.size().
-  void fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int>& labels,
-                int num_classes);
+  void forward(std::span<const double> std_x, Activations& act) const;
 
   CnnConfig config_;
   features::Standardizer standardizer_;

@@ -225,19 +225,6 @@ const std::vector<double>& DecisionTree::predict_proba(const features::FeatureVe
   return leaf_for(x).proba;
 }
 
-const std::vector<double>& DecisionTree::predict_proba_row(
-    const features::DatasetMatrix& data, std::size_t row) const {
-  if (nodes_.empty()) throw std::logic_error("DecisionTree: not trained");
-  const Node* node = &nodes_.front();
-  while (node->feature >= 0) {
-    const std::size_t f = static_cast<std::size_t>(node->feature);
-    if (f >= data.cols()) throw std::invalid_argument("DecisionTree: feature dim mismatch");
-    node = &nodes_[static_cast<std::size_t>(data.at(row, f) <= node->threshold ? node->left
-                                                                               : node->right)];
-  }
-  return node->proba;
-}
-
 std::vector<DecisionTree::ExportedNode> DecisionTree::export_nodes() const {
   std::vector<ExportedNode> out;
   out.reserve(nodes_.size());

@@ -52,10 +52,6 @@ class DecisionTree {
   /// Leaf class distribution for one feature vector.
   const std::vector<double>& predict_proba(const features::FeatureVector& x) const;
 
-  /// Columnar traversal: leaf distribution for one matrix row.
-  const std::vector<double>& predict_proba_row(const features::DatasetMatrix& data,
-                                               std::size_t row) const;
-
   int node_count() const { return static_cast<int>(nodes_.size()); }
   int depth() const;
   bool trained() const { return !nodes_.empty(); }

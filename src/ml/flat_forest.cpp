@@ -13,15 +13,15 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Rows per batch: one traversal tile / leaf-id block. Matches the
-/// reference predict_rows chunk so parallel slots align, though results do
-/// not depend on batching — every row is computed independently.
+/// Rows per batch: one traversal tile / leaf-id block. Results do not
+/// depend on batching — every row is computed independently.
 constexpr std::size_t kBatch = kTileRows;
 
 /// Tree-outer vote accumulation per row: every (row, class) accumulator
-/// receives its additions in tree order 0..T-1, the reference order.
-/// Divide BEFORE the argmax (rounding can merge distinct sums), and take
-/// the FIRST maximum — exactly the reference max_element. Templating on
+/// receives its additions in tree order 0..T-1, the order of
+/// RandomForest::predict_proba. Divide BEFORE the argmax (rounding can
+/// merge distinct sums), and take the FIRST maximum — exactly the
+/// std::max_element of Classifier::predict. Templating on
 /// the class count lets the compiler unroll the per-tree adds for the
 /// small counts every real model has; the arithmetic is identical.
 template <std::size_t C>

@@ -28,8 +28,8 @@
 // over, one row through 8 trees at once (see flat_forest_kernels.hpp;
 // scalar, SSE2 and AVX2 tiers dispatched at run time through common/cpu).
 //
-// The engine is BIT-IDENTICAL to the pointer-tree reference
-// (RandomForest::predict_rows_reference), pinned by tests/test_flat_forest:
+// The engine is BIT-IDENTICAL to the per-sample pointer-tree walk
+// (RandomForest::predict on each row), pinned by tests/test_flat_forest:
 //  - the traversal step is the same comparison on the same doubles, so
 //    every row reaches the same leaf;
 //  - per (row, class) the vote accumulator receives the same additions in
@@ -66,7 +66,7 @@ class FlatForest {
   std::int32_t max_feature() const { return max_feature_; }
 
   /// Batch prediction straight off the columnar matrix; bit-identical to
-  /// the pointer-tree reference at every dispatch tier and thread count.
+  /// the per-sample pointer walk at every dispatch tier and thread count.
   /// The tile and leaf buffers are per-thread scratch reused across calls.
   std::vector<int> predict_rows(const features::DatasetMatrix& data,
                                 std::span<const std::uint32_t> rows) const;

@@ -17,27 +17,11 @@ Knn::Knn(KnnConfig config) : config_(config) {
 void Knn::fit_rows(const features::DatasetMatrix& train,
                    std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("Knn::fit: empty dataset");
-  standardizer_.fit_rows(train, rows);
-  points_.clear();
-  labels_.clear();
-  points_.reserve(rows.size());
-  labels_.reserve(rows.size());
-  FeatureVector raw(train.cols());
-  int max_label = 0;
-  for (const std::uint32_t row : rows) {
-    train.gather_row(row, raw);
-    FeatureVector z(raw.size());
-    standardizer_.transform(raw, z);
-    points_.push_back(std::move(z));
-    const int label = train.label(row);
-    labels_.push_back(label);
-    max_label = std::max(max_label, label);
-  }
-  num_classes_ = max_label + 1;
+  points_ = standardize_rows(train, rows, standardizer_);
 }
 
 void Knn::neighbor_proba(std::span<const double> x, Scratch& scratch) const {
-  if (points_.empty()) throw std::logic_error("Knn: not trained");
+  if (points_.size() == 0) throw std::logic_error("Knn: not trained");
   scratch.q.resize(x.size());
   standardizer_.transform(x, scratch.q);
   const FeatureVector& q = scratch.q;
@@ -49,22 +33,22 @@ void Knn::neighbor_proba(std::span<const double> x, Scratch& scratch) const {
   const auto k = static_cast<std::size_t>(config_.k);
   for (std::size_t i = 0; i < points_.size(); ++i) {
     double d = 0.0;
-    const auto& p = points_[i];
+    const auto p = points_.row(i);
     for (std::size_t f = 0; f < p.size(); ++f) {
       const double diff = p[f] - q[f];
       d += diff * diff;
       if (heap.size() == k && d > heap.front().first) break;  // early exit
     }
     if (heap.size() < k) {
-      heap.emplace_back(d, labels_[i]);
+      heap.emplace_back(d, points_.labels[i]);
       std::push_heap(heap.begin(), heap.end());
     } else if (d < heap.front().first) {
       std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {d, labels_[i]};
+      heap.back() = {d, points_.labels[i]};
       std::push_heap(heap.begin(), heap.end());
     }
   }
-  scratch.proba.assign(static_cast<std::size_t>(num_classes_), 0.0);
+  scratch.proba.assign(static_cast<std::size_t>(points_.num_classes), 0.0);
   for (const auto& [dist, label] : heap) {
     ++scratch.proba[static_cast<std::size_t>(label)];
   }

@@ -4,9 +4,10 @@
 // As the paper notes, kNN prediction slows on large datasets — the
 // micro-benchmarks quantify that.
 //
-// The query core is span-based and works out of caller-owned scratch
-// (standardised query + heap storage), so batch prediction over a
-// DatasetMatrix allocates nothing per sample.
+// The neighbour set is the training rows standardised into one row-major
+// buffer (ml::standardize_rows). The query core is span-based and works
+// out of caller-owned scratch (standardised query + heap storage), so
+// batch prediction over a DatasetMatrix allocates nothing per sample.
 #pragma once
 
 #include <span>
@@ -54,9 +55,7 @@ class Knn final : public Classifier {
 
   KnnConfig config_;
   features::Standardizer standardizer_;
-  std::vector<FeatureVector> points_;  // standardised training features
-  std::vector<int> labels_;
-  int num_classes_ = 0;
+  StandardizedRows points_;  // the training samples, standardised
 };
 
 /// Selects k in [1, k_max] by `folds`-fold cross-validated accuracy, as the

@@ -35,28 +35,10 @@ void LogisticRegression::softmax_scores(std::span<const double> std_x,
 void LogisticRegression::fit_rows(const features::DatasetMatrix& train,
                                   std::span<const std::uint32_t> rows) {
   if (rows.empty()) throw std::invalid_argument("LogisticRegression::fit: empty dataset");
-  standardizer_.fit_rows(train, rows);
-
-  std::vector<FeatureVector> xs;
-  std::vector<int> labels;
-  xs.reserve(rows.size());
-  labels.reserve(rows.size());
-  FeatureVector raw(train.cols());
-  for (const std::uint32_t row : rows) {
-    train.gather_row(row, raw);
-    FeatureVector z(raw.size());
-    standardizer_.transform(raw, z);
-    xs.push_back(std::move(z));
-    labels.push_back(train.label(row));
-  }
-  fit_impl(xs, labels, static_cast<int>(train.class_histogram(rows).size()));
-}
-
-void LogisticRegression::fit_impl(const std::vector<FeatureVector>& xs,
-                                  const std::vector<int>& labels, int num_classes) {
-  num_classes_ = num_classes;
+  const StandardizedRows xs = standardize_rows(train, rows, standardizer_);
+  num_classes_ = xs.num_classes;
   const std::size_t n = xs.size();
-  const std::size_t dims = xs.front().size();
+  const std::size_t dims = xs.dims;
   weights_.assign(static_cast<std::size_t>(num_classes_), std::vector<double>(dims + 1, 0.0));
 
   const double lambda = 1.0 / config_.c;  // L2 strength
@@ -77,12 +59,13 @@ void LogisticRegression::fit_impl(const std::vector<FeatureVector>& xs,
                                             std::vector<double>(dims + 1, 0.0));
       for (std::size_t i = start; i < stop; ++i) {
         const std::size_t idx = order[i];
-        softmax_scores(xs[idx], proba);
-        const int y = labels[idx];
+        const auto x = xs.row(idx);
+        softmax_scores(x, proba);
+        const int y = xs.labels[idx];
         for (int c = 0; c < num_classes_; ++c) {
           const double err = proba[static_cast<std::size_t>(c)] - (c == y ? 1.0 : 0.0);
           auto& g = grad[static_cast<std::size_t>(c)];
-          for (std::size_t d = 0; d < dims; ++d) g[d] += err * xs[idx][d];
+          for (std::size_t d = 0; d < dims; ++d) g[d] += err * x[d];
           g[dims] += err;
         }
       }
@@ -106,11 +89,6 @@ std::vector<double> LogisticRegression::predict_proba(const FeatureVector& x) co
   std::vector<double> scores(static_cast<std::size_t>(num_classes_));
   softmax_scores(z, scores);
   return scores;
-}
-
-int LogisticRegression::predict(const FeatureVector& x) const {
-  const auto proba = predict_proba(x);
-  return static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
 }
 
 std::vector<int> LogisticRegression::predict_rows(const features::DatasetMatrix& data,

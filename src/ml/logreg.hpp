@@ -31,7 +31,6 @@ class LogisticRegression final : public Classifier {
 
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
-  int predict(const FeatureVector& x) const override;
   std::vector<double> predict_proba(const FeatureVector& x) const override;
   std::vector<int> predict_rows(const features::DatasetMatrix& data,
                                 std::span<const std::uint32_t> rows) const override;
@@ -44,9 +43,6 @@ class LogisticRegression final : public Classifier {
   /// Softmax over class scores of a standardised sample, written into
   /// caller-owned `scores` (size num_classes_). Allocation-free.
   void softmax_scores(std::span<const double> std_x, std::span<double> scores) const;
-  /// SGD core over pre-standardised samples; xs.size() == labels.size().
-  void fit_impl(const std::vector<FeatureVector>& xs, const std::vector<int>& labels,
-                int num_classes);
 
   LogRegConfig config_;
   features::Standardizer standardizer_;

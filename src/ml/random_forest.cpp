@@ -63,41 +63,13 @@ std::vector<double> RandomForest::predict_proba(const FeatureVector& x) const {
   return proba;
 }
 
-int RandomForest::predict(const FeatureVector& x) const {
-  const auto proba = predict_proba(x);
-  return static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
-}
-
 std::vector<int> RandomForest::predict_rows(const features::DatasetMatrix& data,
                                             std::span<const std::uint32_t> rows) const {
   if (trees_.empty()) throw std::logic_error("RandomForest: not trained");
   // Vectorized level-synchronous traversal over the flattened arena —
-  // bit-identical to predict_rows_reference at every dispatch tier
+  // bit-identical to predict() on each row at every dispatch tier
   // (ml/flat_forest.hpp documents the argument, tests pin it).
   return flat_.predict_rows(data, rows);
-}
-
-std::vector<int> RandomForest::predict_rows_reference(
-    const features::DatasetMatrix& data, std::span<const std::uint32_t> rows) const {
-  if (trees_.empty()) throw std::logic_error("RandomForest: not trained");
-  std::vector<int> out(rows.size());
-  // Block-parallel pointer-tree traversal over the columnar matrix: trees
-  // accumulated in index order with the same arithmetic as predict_proba,
-  // so labels match the per-sample path bit for bit. This is the oracle
-  // the flat engine is verified against.
-  parallel_for(rows.size(), /*chunk=*/64, [&](std::size_t begin, std::size_t end) {
-    std::vector<double> proba(static_cast<std::size_t>(num_classes_));
-    for (std::size_t i = begin; i < end; ++i) {
-      std::fill(proba.begin(), proba.end(), 0.0);
-      for (const auto& tree : trees_) {
-        const auto& p = tree.predict_proba_row(data, rows[i]);
-        for (std::size_t c = 0; c < proba.size(); ++c) proba[c] += p[c];
-      }
-      for (double& p : proba) p /= static_cast<double>(trees_.size());
-      out[i] = static_cast<int>(std::max_element(proba.begin(), proba.end()) - proba.begin());
-    }
-  });
-  return out;
 }
 
 }  // namespace ltefp::ml

@@ -31,16 +31,10 @@ class RandomForest final : public Classifier {
 
   void fit_rows(const features::DatasetMatrix& train,
                 std::span<const std::uint32_t> rows) override;
-  int predict(const FeatureVector& x) const override;
   std::vector<double> predict_proba(const FeatureVector& x) const override;
   std::vector<int> predict_rows(const features::DatasetMatrix& data,
                                 std::span<const std::uint32_t> rows) const override;
   const char* name() const override { return "RandomForest"; }
-
-  /// The pointer-tree batch loop predict_rows replaced — kept as the
-  /// bit-identity oracle for the flat engine (tests/test_flat_forest.cpp).
-  std::vector<int> predict_rows_reference(const features::DatasetMatrix& data,
-                                          std::span<const std::uint32_t> rows) const;
 
   int tree_count() const { return static_cast<int>(trees_.size()); }
   int class_count() const { return num_classes_; }
@@ -54,7 +48,9 @@ class RandomForest final : public Classifier {
   std::vector<DecisionTree> trees_;
   // Flattened SoA execution engine, rebuilt whenever trees_ changes; the
   // pointer trees stay the source of truth (serialization, single-sample
-  // predict) — only batch prediction runs on the arena.
+  // predict and predict_proba) — only batch prediction runs on the arena.
+  // The per-sample pointer walk is the oracle tests/test_flat_forest.cpp
+  // pins the arena against.
   FlatForest flat_;
   int num_classes_ = 0;
 };

@@ -9,6 +9,8 @@
 # NAME selects the assertion:
 #   bench_table8  Table VIII weighted average: RF > kNN > max(CNN, LR).
 #   bench_table3  Table III: mean Down+Up F of Streaming > that of Messaging.
+#   bench_table6  Table VI: the Lab row's mean similarity over the app
+#                 columns (not their STD columns) > that of every carrier.
 # To check saved output, pass -DBENCH=cat -DARGS=<file>.
 cmake_minimum_required(VERSION 3.16)
 separate_arguments(args UNIX_COMMAND "${ARGS}")
@@ -122,6 +124,59 @@ elseif(NAME STREQUAL "bench_table3")
                         "${summary}")
   endif()
   message(STATUS "${NAME}: Streaming > Messaging holds: ${summary}")
+elseif(NAME STREQUAL "bench_table6")
+  # Every row after the header is a network, except the Average row; each
+  # is summed over the same app columns, so sums compare as means.
+  set(app_cols "")
+  set(carriers "")
+  foreach(line IN LISTS lines)
+    row_cells("${line}" cells)
+    list(GET cells 0 head)
+    if(head STREQUAL "Network")
+      list(LENGTH cells n)
+      math(EXPR last "${n} - 1")
+      foreach(i RANGE 1 ${last})
+        list(GET cells ${i} cell)
+        if(NOT cell STREQUAL "STD")
+          list(APPEND app_cols ${i})
+        endif()
+      endforeach()
+    elseif(app_cols AND NOT head STREQUAL "Average")
+      set(sum 0)
+      foreach(i IN LISTS app_cols)
+        list(GET cells ${i} cell)
+        milli("${cell}" v)
+        math(EXPR sum "${sum} + ${v}")
+      endforeach()
+      if(head STREQUAL "Lab")
+        set(lab ${sum})
+      else()
+        list(APPEND carriers "${head}")
+        set(sum_${head} ${sum})
+      endif()
+    endif()
+  endforeach()
+  if(NOT app_cols)
+    message(FATAL_ERROR "${NAME}: no table header starting with 'Network'")
+  endif()
+  if(NOT DEFINED lab OR NOT carriers)
+    message(FATAL_ERROR "${NAME}: need a Lab row and at least one carrier row")
+  endif()
+  list(LENGTH app_cols n_apps)
+  set(summary "Lab ${lab}")
+  set(failed "")
+  foreach(carrier IN LISTS carriers)
+    string(APPEND summary ", ${carrier} ${sum_${carrier}}")
+    if(NOT lab GREATER sum_${carrier})
+      list(APPEND failed "${carrier}")
+    endif()
+  endforeach()
+  string(APPEND summary " (sums over ${n_apps} apps)")
+  if(failed)
+    string(JOIN ", " failed ${failed})
+    message(FATAL_ERROR "${NAME}: Table VI Lab similarity not above ${failed}: ${summary}")
+  endif()
+  message(STATUS "${NAME}: Lab > every carrier holds: ${summary}")
 else()
   message(FATAL_ERROR "check_fidelity: no assertion for NAME '${NAME}'")
 endif()

@@ -1,5 +1,5 @@
 // Pins the flattened SoA inference engine (ml/flat_forest) to the
-// pointer-tree oracle RandomForest::predict_rows_reference:
+// pointer-tree walk of RandomForest::predict, run on each row:
 //
 //  * batch predictions must be BIT-identical at every dispatch tier the
 //    host can execute (scalar, SSE2, AVX2) and at every thread count,
@@ -35,6 +35,7 @@ namespace {
 
 using features::Dataset;
 using features::DatasetMatrix;
+using features::FeatureVector;
 
 struct ThreadGuard {
   ~ThreadGuard() { set_thread_count(0); }
@@ -82,6 +83,20 @@ RandomForest small_forest(const Dataset& data, int trees = 20) {
   return rf;
 }
 
+/// The oracle: the per-sample pointer walk (RandomForest::predict) on each
+/// row of `rows`, in order.
+std::vector<int> predict_each_row(const RandomForest& rf, const DatasetMatrix& matrix,
+                                  std::span<const std::uint32_t> rows) {
+  std::vector<int> out;
+  out.reserve(rows.size());
+  FeatureVector x(matrix.cols());
+  for (const std::uint32_t row : rows) {
+    matrix.gather_row(row, x);
+    out.push_back(rf.predict(x));
+  }
+  return out;
+}
+
 /// predict_rows under (tier, threads) must equal `expected` exactly.
 void expect_identical_under(const RandomForest& rf, const DatasetMatrix& matrix,
                             const std::vector<int>& expected) {
@@ -104,7 +119,7 @@ TEST(FlatForest, BitIdenticalToPointerReferenceAcrossTiersAndThreads) {
   const Dataset data = tricky_dataset(600, 3, 11);
   const RandomForest rf = small_forest(data);
   const DatasetMatrix matrix(data);
-  const auto expected = rf.predict_rows_reference(matrix, matrix.all_rows());
+  const auto expected = predict_each_row(rf, matrix, matrix.all_rows());
   expect_identical_under(rf, matrix, expected);
 }
 
@@ -116,8 +131,8 @@ TEST(FlatForest, SerializeRoundTripRebuildsAnIdenticalEngine) {
   const RandomForest reloaded = load_forest(buffer);
 
   const DatasetMatrix matrix(data);
-  const auto expected = rf.predict_rows_reference(matrix, matrix.all_rows());
-  ASSERT_EQ(reloaded.predict_rows_reference(matrix, matrix.all_rows()), expected);
+  const auto expected = predict_each_row(rf, matrix, matrix.all_rows());
+  ASSERT_EQ(predict_each_row(reloaded, matrix, matrix.all_rows()), expected);
   expect_identical_under(reloaded, matrix, expected);
 }
 
@@ -133,7 +148,7 @@ TEST(FlatForest, SingleLeafTreesSelfLoopToTheMajorityClass) {
 
   const DatasetMatrix matrix(data);
   const std::vector<int> expected(matrix.rows(), 0);
-  ASSERT_EQ(rf.predict_rows_reference(matrix, matrix.all_rows()), expected);
+  ASSERT_EQ(predict_each_row(rf, matrix, matrix.all_rows()), expected);
   expect_identical_under(rf, matrix, expected);
 
   const FlatForest flat = FlatForest::build(rf.trees(), rf.class_count());
@@ -153,7 +168,7 @@ TEST(FlatForest, NanFeaturesTakeTheRightChildAtEveryTier) {
     test.samples[i].features[i % test.feature_count()] = nan;
   }
   const DatasetMatrix matrix(test);
-  const auto expected = rf.predict_rows_reference(matrix, matrix.all_rows());
+  const auto expected = predict_each_row(rf, matrix, matrix.all_rows());
   expect_identical_under(rf, matrix, expected);
 }
 
@@ -225,7 +240,7 @@ TEST(FlatForest, SmallBatchTailMatchesReferenceAtEveryRowCount) {
         rows[i] = static_cast<std::uint32_t>((i * 7 + n * 11) % matrix.rows());
       }
       const std::span<const std::uint32_t> span(rows);
-      const auto expected = rf->predict_rows_reference(matrix, span);
+      const auto expected = predict_each_row(*rf, matrix, span);
       for (const SimdTier tier : executable_tiers()) {
         set_simd_tier(tier);
         for (const int threads : {1, 2, 8}) {
@@ -280,7 +295,7 @@ TEST(FlatForest, FromColumnsMatchesTheDatasetTranspose) {
   }
   const RandomForest rf = small_forest(data);
   EXPECT_EQ(rf.predict_rows(built, built.all_rows()),
-            rf.predict_rows_reference(matrix, matrix.all_rows()));
+            predict_each_row(rf, matrix, matrix.all_rows()));
 
   values.pop_back();
   EXPECT_THROW(DatasetMatrix::from_columns(values, matrix.rows(), matrix.cols()),

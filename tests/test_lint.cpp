@@ -910,6 +910,36 @@ TEST(TaintedAllocRule, CleanReassignmentKillsTaint) {
   EXPECT_FALSE(has_rule(findings, "tainted-alloc"));
 }
 
+// The model loaders read counts through `read_value<T>(in, what)`; the
+// explicit template arguments must not hide the call.
+TEST(TaintedAllocRule, FiresOnReadValueCountReachingReserve) {
+  const auto findings = lint_cpp(
+      "void f(std::istream& in, std::vector<Node>& nodes) {\n"
+      "  const int count = read_value<int>(in, \"node count\");\n"
+      "  nodes.reserve(static_cast<std::size_t>(count));\n"
+      "}\n");
+  EXPECT_TRUE(has_rule(findings, "tainted-alloc"));
+}
+
+TEST(TaintedAllocRule, BoundedReadValueCountIsFine) {
+  const auto findings = lint_cpp(
+      "void f(std::istream& in, std::vector<Node>& nodes) {\n"
+      "  const int count = read_value<int>(in, \"node count\");\n"
+      "  if (count <= 0 || count > kMaxNodes) { fail(\"bad count\"); }\n"
+      "  nodes.reserve(static_cast<std::size_t>(count));\n"
+      "}\n");
+  EXPECT_FALSE(has_rule(findings, "tainted-alloc"));
+}
+
+TEST(TaintedAllocRule, ClampWithTemplateArgumentsSanitizes) {
+  const auto findings = lint_cpp(
+      "void f(ByteReader& r, std::vector<std::uint8_t>& buf) {\n"
+      "  const std::uint64_t n = r.get_varint();\n"
+      "  buf.resize(std::min<std::uint64_t>(n, kCap));\n"
+      "}\n");
+  EXPECT_FALSE(has_rule(findings, "tainted-alloc"));
+}
+
 TEST(TaintedAllocRule, UntaintedSizesAreFine) {
   const auto findings = lint_cpp(
       "void f(std::size_t count, std::vector<std::uint8_t>& buf) {\n"

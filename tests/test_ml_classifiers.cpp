@@ -124,6 +124,25 @@ TEST_P(AllClassifiers, FitRowsOnSubsetMatchesCopiedSubset) {
   }
 }
 
+// The class count is the matrix's label-name count, not the largest label
+// the rows hold: rows without the top label still give one probability per
+// named class, for every learner alike.
+TEST_P(AllClassifiers, PredictProbaCoversEveryLabelName) {
+  Rng rng(15);
+  const Dataset data = gaussian_blobs(40, 3, 4.0, rng);
+  const features::DatasetMatrix matrix(data);
+  ASSERT_EQ(matrix.class_count(), 3);
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t i = 0; i < matrix.rows(); ++i) {
+    if (matrix.label(i) != 2) rows.push_back(i);
+  }
+  auto model = GetParam().make();
+  model->fit_rows(matrix, rows);
+  for (const auto& s : data.samples) {
+    ASSERT_EQ(model->predict_proba(s.features).size(), 3u) << GetParam().label;
+  }
+}
+
 TEST_P(AllClassifiers, FitOnEmptyThrows) {
   auto model = GetParam().make();
   EXPECT_THROW(model->fit(Dataset{}), std::invalid_argument);

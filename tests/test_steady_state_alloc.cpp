@@ -12,7 +12,10 @@
 //     sessions;
 //   - one DecisionTree::fit allocates at most once per leaf (its class
 //     distribution) plus a fixed budget for node-vector growth and
-//     fit-scoped scratch: nodes reuse the scratch, they allocate nothing.
+//     fit-scoped scratch: nodes reuse the scratch, they allocate nothing;
+//   - Knn::fit_rows allocates a fixed number of times whatever the row
+//     count: the standardised training samples are one buffer, not one
+//     vector per row.
 //
 // It is its own executable because the counting operator new is global.
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "lte/observer.hpp"
 #include "lte/operator_profile.hpp"
 #include "ml/decision_tree.hpp"
+#include "ml/knn.hpp"
 
 namespace {
 
@@ -202,6 +207,31 @@ TEST(SteadyStateAlloc, TreeFitAllocatesOncePerLeafPlusFixedScratch) {
   for (const auto& node : tree.export_nodes()) leaves += node.feature < 0 ? 1 : 0;
   ASSERT_GT(tree.node_count(), 500);
   EXPECT_LE(allocated, leaves + 64) << "allocated " << allocated << " nodes " << tree.node_count() << " leaves " << leaves;
+}
+
+TEST(SteadyStateAlloc, KnnFitAllocationsDoNotGrowWithRows) {
+  Rng rng(4);
+  features::Dataset data;
+  data.feature_names = {"f0", "f1", "f2", "f3"};
+  data.label_names.resize(3);
+  for (int i = 0; i < 2'000; ++i) {
+    const int label = static_cast<int>(rng.index(3));
+    features::FeatureVector x(data.feature_names.size());
+    for (double& v : x) v = rng.normal(label, 1.0);
+    data.add(std::move(x), label);
+  }
+  const features::DatasetMatrix matrix(data);
+  const std::vector<std::uint32_t> rows = matrix.all_rows();
+
+  const auto fit_allocations = [&](std::size_t n) {
+    ml::Knn knn;
+    const std::uint64_t start = allocations();
+    knn.fit_rows(matrix, std::span(rows).first(n));
+    return allocations() - start;
+  };
+  const std::uint64_t small = fit_allocations(1'000);
+  const std::uint64_t large = fit_allocations(2'000);
+  EXPECT_EQ(small, large) << "1000 rows: " << small << ", 2000 rows: " << large;
 }
 
 }  // namespace

@@ -56,10 +56,38 @@ bool member_access(const std::vector<Token>& toks, std::size_t i) {
   return is_punct(toks[p], ".") || is_punct(toks[p], "->");
 }
 
-/// True when the code token after identifier `i` opens a call.
+/// Index of the `(` that opens a call of identifier `i`, either right
+/// after it or after an explicit template argument list
+/// (`read_value<int>(in)`), or toks.size() when `i` is not called. A `<`
+/// opens a template argument list only if what follows up to its matching
+/// `>` is type-like (identifiers, numbers, `::`, `,`, `*`, `&`, nested
+/// `<>`), so `i < n && m > (k)` stays a comparison.
+std::size_t call_open(const std::vector<Token>& toks, std::size_t i) {
+  std::size_t n = next_code(toks, i);
+  if (n < toks.size() && is_punct(toks[n], "<")) {
+    int depth = 1;
+    for (n = next_code(toks, n); n < toks.size() && depth > 0; n = next_code(toks, n)) {
+      const Token& t = toks[n];
+      if (is_punct(t, "<")) {
+        ++depth;
+      } else if (is_punct(t, ">")) {
+        --depth;
+      } else if (is_punct(t, ">>")) {
+        depth -= 2;
+      } else if (t.kind != TokKind::kIdent && t.kind != TokKind::kNumber &&
+                 !is_punct(t, "::") && !is_punct(t, ",") && !is_punct(t, "*") &&
+                 !is_punct(t, "&")) {
+        return toks.size();
+      }
+    }
+    if (depth != 0) return toks.size();
+  }
+  return n < toks.size() && is_punct(toks[n], "(") ? n : toks.size();
+}
+
+/// True when identifier `i` is called (see call_open).
 bool called(const std::vector<Token>& toks, std::size_t i) {
-  const std::size_t n = next_code(toks, i);
-  return n < toks.size() && is_punct(toks[n], "(");
+  return call_open(toks, i) < toks.size();
 }
 
 void add(std::vector<Finding>& out, const Rule& rule, int line, std::string message) {
@@ -526,7 +554,7 @@ class ParallelCaptureRule final : public Rule {
       bool thread_ctor = false;
       std::size_t open = toks.size();
       if (pool_call) {
-        open = next_code(toks, i);
+        open = call_open(toks, i);
       } else if (t.text == "thread") {
         const std::size_t p = prev_code(toks, i);
         if (p != static_cast<std::size_t>(-1) && is_punct(toks[p], "::")) {
@@ -724,19 +752,20 @@ class ParallelCaptureRule final : public Rule {
 // ---------------------------------------------------------------------------
 // tainted-alloc (semantic)
 
-// Decoded lengths are attacker-controlled: a varint or from_chars value that
-// reaches resize/reserve/new[] unchecked turns one corrupt byte into a
-// multi-gigabyte allocation (or worse). Within each function this rule
-// tracks names assigned from decode sources, clears the taint at the first
-// bound check (a relational/equality comparison, or std::min/std::clamp /
-// ByteReader::require), and reports tainted names — or inline decode calls —
-// in allocation-size argument position.
+// Decoded lengths are attacker-controlled: a varint, from_chars or
+// read_value<T> (model loader) value that reaches resize/reserve/new[]
+// unchecked turns one corrupt byte into a multi-gigabyte allocation (or
+// worse). Within each function this rule tracks names assigned from decode
+// sources, clears the taint at the first bound check (a relational/equality
+// comparison, or std::min/std::clamp / ByteReader::require), and reports
+// tainted names — or inline decode calls — in allocation-size argument
+// position.
 class TaintedAllocRule final : public Rule {
  public:
   const char* id() const override { return "tainted-alloc"; }
   const char* summary() const override {
-    return "a length decoded from untrusted bytes (varint/from_chars) must "
-           "pass a bound check before reaching resize/reserve/new[]";
+    return "a length decoded from untrusted bytes (varint/from_chars/read_value) "
+           "must pass a bound check before reaching resize/reserve/new[]";
   }
 
   void check(const SourceFile& file, std::vector<Finding>& out) const override {
@@ -762,6 +791,7 @@ class TaintedAllocRule final : public Rule {
   static bool source_call(const std::vector<Token>& toks, std::size_t i) {
     static const std::unordered_set<std::string_view> kSources = {
         "get_varint", "get_signed", "read_frame_varint", "zigzag_decode",
+        "read_value",  // ml/serialize.cpp: the model loaders' `istream >>` wrapper
     };
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdent) return false;
@@ -795,7 +825,7 @@ class TaintedAllocRule final : public Rule {
             (t.text == "min" || t.text == "max" || t.text == "clamp" ||
              t.text == "require") &&
             called(toks, j)) {
-          const std::size_t open = next_code(toks, j);
+          const std::size_t open = call_open(toks, j);
           const std::size_t close = match_delim(toks, open);
           for (std::size_t k = open + 1; k < close && k < end; ++k) {
             if (toks[k].kind == TokKind::kIdent) taint.erase(toks[k].text);
@@ -807,7 +837,7 @@ class TaintedAllocRule final : public Rule {
         const Token& t = toks[j];
         if (t.kind == TokKind::kIdent && (t.text == "resize" || t.text == "reserve") &&
             member_access(toks, j) && called(toks, j)) {
-          const std::size_t open = next_code(toks, j);
+          const std::size_t open = call_open(toks, j);
           const std::size_t close = match_delim(toks, open);
           for (std::size_t k = open + 1; k < close; ++k) {
             if (toks[k].kind != TokKind::kIdent) continue;
@@ -860,7 +890,7 @@ class TaintedAllocRule final : public Rule {
             !called(toks, j)) {
           continue;
         }
-        const std::size_t open = next_code(toks, j);
+        const std::size_t open = call_open(toks, j);
         const std::size_t close = match_delim(toks, open);
         int depth = 0, commas = 0;
         std::string arg3;
@@ -993,7 +1023,7 @@ class UncheckedResultRule final : public Rule {
 
   void check_from_chars(const std::vector<Token>& toks, const Outline& o,
                         std::size_t i, std::vector<Finding>& out) const {
-    const std::size_t open = next_code(toks, i);
+    const std::size_t open = call_open(toks, i);
     const std::size_t close = match_delim(toks, open);
     if (close >= toks.size()) return;
 
@@ -1082,7 +1112,7 @@ class UncheckedResultRule final : public Rule {
 
   // True when the member call at `i` heads a bare expression statement.
   static bool discarded(const std::vector<Token>& toks, std::size_t i) {
-    const std::size_t open = next_code(toks, i);
+    const std::size_t open = call_open(toks, i);
     const std::size_t close = match_delim(toks, open);
     if (close >= toks.size()) return false;
     const std::size_t after = next_code(toks, close);
