@@ -999,6 +999,45 @@ void BM_StreamVerdictLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamVerdictLatency)->Unit(benchmark::kMillisecond);
 
+void BM_StreamReplaySparse(benchmark::State& state) {
+  // Capture-once/replay-many: a city-day corpus (8 cells x 8 UEs x 24 h,
+  // 0.5 sessions per UE-hour), written once, replayed through ReplaySource
+  // and the daemon per iteration. Its lanes are corpus seqs, cell * 24 +
+  // hour, so the 8 lanes live in any hour share a stride of 24, and a
+  // watermark carries few records. /1 against /4 shows how much of the
+  // replay the workers share, which they do only if the lanes of an hour
+  // land on different workers.
+  static const BenchCorpus corpus = [] {
+    tracestore::SynthOptions options;
+    options.seed = 7;
+    options.cells = 8;
+    options.hours = 24;
+    options.ues_per_cell = 8;
+    options.sessions_per_ue_hour = 0.5;
+    return BenchCorpus("replay", options);
+  }();
+  static const ml::RandomForest model = [] {
+    Rng rng(11);
+    ml::RandomForest rf(ml::ForestConfig{.num_trees = 20});
+    rf.fit(synthetic_dataset(2000, 3, rng));
+    return rf;
+  }();
+  stream::StreamConfig config;
+  config.workers = static_cast<int>(state.range(0));
+  std::size_t records = 0;
+  for (auto _ : state) {
+    stream::ReplaySource source(corpus.dir);
+    stream::CollectorSink sink;
+    const stream::StreamStats stats = stream::StreamDaemon(model, config).run(source, sink);
+    records = stats.records;
+    benchmark::DoNotOptimize(sink.verdicts().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(records));
+  state.counters["threads"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_StreamReplaySparse)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 // --- custom main: --json / --threads + google-benchmark ------------------
 
 /// Console output as usual, plus a machine-readable capture of every run.

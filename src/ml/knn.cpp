@@ -61,16 +61,25 @@ int Knn::predict_span(std::span<const double> x, Scratch& scratch) const {
       std::max_element(scratch.proba.begin(), scratch.proba.end()) - scratch.proba.begin());
 }
 
+namespace {
+
+/// Per-thread scratch for the one-row entry points, grown and never
+/// cleared: a caller predicting one row per call would otherwise allocate
+/// the query, heap and distribution buffers every time.
+Knn::Scratch& thread_scratch() {
+  thread_local Knn::Scratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 std::vector<double> Knn::predict_proba(const FeatureVector& x) const {
-  Scratch scratch;
+  Scratch& scratch = thread_scratch();
   neighbor_proba(x, scratch);
   return scratch.proba;
 }
 
-int Knn::predict(const FeatureVector& x) const {
-  Scratch scratch;
-  return predict_span(x, scratch);
-}
+int Knn::predict(const FeatureVector& x) const { return predict_span(x, thread_scratch()); }
 
 std::vector<int> Knn::predict_rows(const features::DatasetMatrix& data,
                                    std::span<const std::uint32_t> rows) const {

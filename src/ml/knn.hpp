@@ -7,7 +7,9 @@
 // The neighbour set is the training rows standardised into one row-major
 // buffer (ml::standardize_rows). The query core is span-based and works
 // out of caller-owned scratch (standardised query + heap storage), so
-// batch prediction over a DatasetMatrix allocates nothing per sample.
+// batch prediction over a DatasetMatrix allocates nothing per sample, and
+// predict / predict_proba reuse a per-thread scratch: after warm-up,
+// predict allocates nothing and predict_proba only the vector it returns.
 #pragma once
 
 #include <span>

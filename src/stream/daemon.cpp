@@ -1,6 +1,7 @@
 #include "stream/daemon.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -47,10 +48,15 @@ struct Worker {
   SpscQueue<Item> queue;
   SessionAssembler assembler;
 
-  // Published state (worker writes, driver reads) — guarded by m.
+  // Published state (worker writes, driver reads). The outbox is guarded
+  // by m; has_outbox says it holds verdicts, so the driver locks only a
+  // worker with something to hand over. acked is stored after the batch's
+  // verdicts are in the outbox, so a driver that loads it first and the
+  // outbox second has every verdict at or below it.
   std::mutex m;
   std::vector<VerdictRecord> outbox;
-  TimeMs acked = -1;
+  std::atomic<bool> has_outbox{false};
+  std::atomic<TimeMs> acked{-1};
 
   // Worker-private until join.
   Histogram latency;
@@ -102,6 +108,12 @@ VerdictRecord make_verdict(const SessionCoords& at, TimeMs time, const attacks::
 /// the acknowledged watermark.
 void process_batch(Worker& w, const ml::Classifier& model, const StreamConfig& config,
                    TimeMs ack) {
+  if (w.pending_windows.empty() && w.pending_ends.empty()) {
+    // Nothing closed in this interval (the common case for a worker whose
+    // lanes are idle): acknowledge without a sort or a lock.
+    w.acked.store(ack, std::memory_order_release);
+    return;
+  }
   w.batch_out.clear();
   if (!w.pending_windows.empty()) {
     // The batch's column-major matrix, written straight from the windows.
@@ -144,12 +156,13 @@ void process_batch(Worker& w, const ml::Classifier& model, const StreamConfig& c
   }
   w.pending_windows.clear();
   w.pending_ends.clear();
-  std::sort(w.batch_out.begin(), w.batch_out.end(), verdict_before);
-  {
+  if (!w.batch_out.empty()) {
+    std::sort(w.batch_out.begin(), w.batch_out.end(), verdict_before);
     const std::lock_guard<std::mutex> lock(w.m);
     w.outbox.insert(w.outbox.end(), w.batch_out.begin(), w.batch_out.end());
-    w.acked = ack;
+    w.has_outbox.store(true, std::memory_order_relaxed);
   }
+  w.acked.store(ack, std::memory_order_release);
 }
 
 void worker_main(Worker& w, const ml::Classifier& model, const StreamConfig& config) {
@@ -198,12 +211,14 @@ StreamStats StreamDaemon::run(StreamSource& source, VerdictSink& sink) {
     TimeMs min_acked = std::numeric_limits<TimeMs>::max();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       Worker& w = *workers[i];
+      // The ack first: its release store published every verdict at or
+      // below it, outbox flag included.
+      min_acked = std::min(min_acked, w.acked.load(std::memory_order_acquire));
+      if (!w.has_outbox.load(std::memory_order_relaxed)) continue;
       const std::lock_guard<std::mutex> lock(w.m);
-      if (!w.outbox.empty()) {
-        merge[i].pending.insert(merge[i].pending.end(), w.outbox.begin(), w.outbox.end());
-        w.outbox.clear();
-      }
-      min_acked = std::min(min_acked, w.acked);
+      merge[i].pending.insert(merge[i].pending.end(), w.outbox.begin(), w.outbox.end());
+      w.outbox.clear();
+      w.has_outbox.store(false, std::memory_order_relaxed);
     }
     for (;;) {
       std::size_t best = merge.size();
@@ -219,11 +234,15 @@ StreamStats StreamDaemon::run(StreamSource& source, VerdictSink& sink) {
       if (best == merge.size()) break;
       sink.emit(merge[best].pending[merge[best].pos++]);
     }
+    // Drop the emitted prefix once it is half the buffer or more. A lane
+    // then holds at most about twice the verdicts past the minimum
+    // acknowledged watermark, also when busy workers never let it run
+    // dry, and each verdict is moved O(1) times on average.
     for (auto& lane : merge) {
-      if (lane.pos == lane.pending.size()) {
-        lane.pending.clear();
-        lane.pos = 0;
-      }
+      if (2 * lane.pos < lane.pending.size()) continue;
+      lane.pending.erase(lane.pending.begin(),
+                         lane.pending.begin() + static_cast<std::ptrdiff_t>(lane.pos));
+      lane.pos = 0;
     }
   };
 
@@ -262,8 +281,7 @@ StreamStats StreamDaemon::run(StreamSource& source, VerdictSink& sink) {
     Item item;
     item.kind = Item::Kind::kRecord;
     item.rec = rec;
-    const std::size_t shard = rec.lane % workers.size();
-    workers[shard]->queue.push(std::move(item));
+    workers[worker_of_lane(rec.lane, workers.size())]->queue.push(std::move(item));
     ++stats.records;
   }
 

@@ -2,15 +2,16 @@
 //
 // Batch-synchronous watermark pipeline. The driver (the thread calling
 // run()) consumes the globally time-ordered record stream, shards it over
-// K workers by lane (lane % K), and pushes records plus in-band watermark
-// markers through bounded SPSC queues — a full queue applies backpressure
-// instead of buffering without bound. Each worker owns a SessionAssembler
-// over its lane shard, batch-classifies the windows that close each
-// watermark interval through the shared trained classifier, accumulates
-// per-session window votes, and publishes its verdicts sorted by
-// (time, cell, lane). The driver progressively k-way merges worker
-// outboxes up to the minimum acknowledged watermark, so the sink sees one
-// totally ordered verdict stream.
+// K workers by a hash of the lane (worker_of_lane), and pushes records
+// plus in-band watermark markers through bounded SPSC queues — a full
+// queue applies backpressure instead of buffering without bound. Each
+// worker owns a SessionAssembler over its lane shard, batch-classifies the
+// windows that close each watermark interval through the shared trained
+// classifier, accumulates per-session window votes, publishes its verdicts
+// sorted by (time, cell, lane), and acknowledges the watermark. The driver
+// progressively k-way merges worker outboxes up to the minimum
+// acknowledged watermark, so the sink sees one totally ordered verdict
+// stream.
 //
 // Determinism contract: each worker's output is a pure function of its
 // in-band item sequence, which is a pure function of the source; and
@@ -28,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -47,6 +49,24 @@ namespace ltefp::stream {
 /// batch classification, small enough that interim verdicts lag the radio
 /// by at most ~an eighth of a second of sim time.
 inline constexpr TimeMs kSubframeBatchMs = 128;
+
+/// The worker, of `workers` (>= 1), that owns every record of `lane`: the
+/// murmur3 fmix32 finalizer, then reduced to [0, workers). Every lane bit
+/// moves every output bit, so lanes in an arithmetic progression spread
+/// over the workers. Replayed corpus lanes are such a progression: an
+/// entry's seq is cell * hours + hour, so the lanes live in one hour
+/// share the stride `hours`, and `lane % workers` would give all of them to
+/// one worker whenever the worker count divides the stride. Stateless: the
+/// driver keeps no per-lane table.
+inline std::size_t worker_of_lane(std::uint32_t lane, std::size_t workers) {
+  std::uint32_t h = lane;
+  h ^= h >> 16;
+  h *= 0x85EBCA6Bu;
+  h ^= h >> 13;
+  h *= 0xC2B2AE35u;
+  h ^= h >> 16;
+  return h % workers;
+}
 
 struct StreamConfig {
   features::WindowConfig window;

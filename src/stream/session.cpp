@@ -1,5 +1,6 @@
 #include "stream/session.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ltefp::stream {
@@ -47,7 +48,9 @@ void SessionAssembler::close_session(std::uint32_t lane_id, Lane& lane,
 void SessionAssembler::feed(const StreamRecord& r, std::vector<PendingWindow>& windows,
                             std::vector<SessionEnd>& ends) {
   Lane& lane = lanes_[r.lane];
-  if (lane.windower && r.record.time - lane.last_raw >= idle_cutoff_) {
+  const bool was_live = lane.windower.has_value();
+  if (was_live && r.record.time - lane.last_raw >= idle_cutoff_) {
+    // Cut and reopened below: the lane keeps its place in live_.
     close_session(r.lane, lane, windows, ends);
   }
   if (!lane.windower) {
@@ -56,6 +59,12 @@ void SessionAssembler::feed(const StreamRecord& r, std::vector<PendingWindow>& w
     lane.rnti = r.record.rnti;
     lane.windower.emplace(r.record.time, window_);
     ++sessions_;
+    if (!was_live) {
+      const auto at = std::lower_bound(
+          live_.begin(), live_.end(), r.lane,
+          [](const std::pair<std::uint32_t, Lane*>& e, std::uint32_t id) { return e.first < id; });
+      live_.insert(at, {r.lane, &lane});
+    }
   }
   scratch_.clear();
   lane.windower->feed(r.record, scratch_);
@@ -66,23 +75,33 @@ void SessionAssembler::feed(const StreamRecord& r, std::vector<PendingWindow>& w
 
 void SessionAssembler::advance(TimeMs watermark, std::vector<PendingWindow>& windows,
                                std::vector<SessionEnd>& ends) {
-  for (auto& [lane_id, lane] : lanes_) {
-    if (!lane.windower) continue;
-    if (lane.last_raw + idle_cutoff_ <= watermark) {
-      close_session(lane_id, lane, windows, ends);
+  // Cut lanes leave live_; the rest are compacted forward in order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    const auto [lane_id, lane] = live_[i];
+    if (lane->last_raw + idle_cutoff_ <= watermark) {
+      close_session(lane_id, *lane, windows, ends);
       continue;
     }
     scratch_.clear();
-    lane.windower->close_until(watermark, scratch_);
-    append_windows(lane_id, lane, scratch_, windows);
+    lane->windower->close_until(watermark, scratch_);
+    append_windows(lane_id, *lane, scratch_, windows);
+    live_[kept++] = live_[i];
   }
+  live_.resize(kept);
 }
 
 void SessionAssembler::finish(std::vector<PendingWindow>& windows,
                               std::vector<SessionEnd>& ends) {
-  for (auto& [lane_id, lane] : lanes_) {
-    if (lane.windower) close_session(lane_id, lane, windows, ends);
-  }
+  for (const auto& [lane_id, lane] : live_) close_session(lane_id, *lane, windows, ends);
+  live_.clear();
+}
+
+std::vector<std::uint32_t> SessionAssembler::live_lanes() const {
+  std::vector<std::uint32_t> ids;
+  ids.reserve(live_.size());
+  for (const auto& entry : live_) ids.push_back(entry.first);
+  return ids;
 }
 
 }  // namespace ltefp::stream

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -71,7 +72,8 @@ class SessionAssembler {
 
   /// Watermark tick: every record with time < `watermark` has been fed.
   /// Closes windows ending at or before the watermark and cuts sessions
-  /// whose idle gap has provably elapsed. Lanes are visited in lane order.
+  /// whose idle gap has provably elapsed. Only lanes with an open session
+  /// are visited, in lane order; a tick with none costs nothing.
   void advance(TimeMs watermark, std::vector<PendingWindow>& windows,
                std::vector<SessionEnd>& ends);
 
@@ -81,6 +83,8 @@ class SessionAssembler {
 
   std::size_t records() const { return records_; }
   std::size_t sessions_started() const { return sessions_; }
+  /// The lanes with an open session, ascending.
+  std::vector<std::uint32_t> live_lanes() const;
 
  private:
   struct Lane {
@@ -100,8 +104,13 @@ class SessionAssembler {
 
   features::WindowConfig window_;
   TimeMs idle_cutoff_;
-  // Ordered by lane id: advance()/finish() emission order is deterministic.
+  // Every lane ever fed (its session counter outlives its sessions). Map
+  // nodes never move, so live_ can point into it.
   std::map<std::uint32_t, Lane> lanes_;
+  // The lanes with an open session, ascending by lane id: advance() and
+  // finish() walk these alone, in lane order, so emission order is
+  // deterministic and idle lanes cost nothing per watermark.
+  std::vector<std::pair<std::uint32_t, Lane*>> live_;
   std::vector<features::WindowSlice> scratch_;
   std::size_t records_ = 0;
   std::size_t sessions_ = 0;

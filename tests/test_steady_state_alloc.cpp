@@ -15,7 +15,10 @@
 //     fit-scoped scratch: nodes reuse the scratch, they allocate nothing;
 //   - Knn::fit_rows allocates a fixed number of times whatever the row
 //     count: the standardised training samples are one buffer, not one
-//     vector per row.
+//     vector per row;
+//   - one Knn::predict after warm-up allocates nothing, and one
+//     Knn::predict_proba allocates only the vector it returns: both reuse
+//     a per-thread scratch.
 //
 // It is its own executable because the counting operator new is global.
 #include <gtest/gtest.h>
@@ -232,6 +235,33 @@ TEST(SteadyStateAlloc, KnnFitAllocationsDoNotGrowWithRows) {
   const std::uint64_t small = fit_allocations(1'000);
   const std::uint64_t large = fit_allocations(2'000);
   EXPECT_EQ(small, large) << "1000 rows: " << small << ", 2000 rows: " << large;
+}
+
+TEST(SteadyStateAlloc, KnnPredictAfterWarmUpAllocatesNothing) {
+  Rng rng(5);
+  features::Dataset data;
+  data.feature_names = {"f0", "f1", "f2", "f3"};
+  data.label_names.resize(3);
+  for (int i = 0; i < 300; ++i) {
+    const int label = static_cast<int>(rng.index(3));
+    features::FeatureVector x(data.feature_names.size());
+    for (double& v : x) v = rng.normal(label, 1.0);
+    data.add(std::move(x), label);
+  }
+  ml::Knn knn;
+  knn.fit(data);
+  const features::FeatureVector query = data.samples[7].features;
+  const int warm = knn.predict(query);
+
+  std::uint64_t start = allocations();
+  const int label = knn.predict(query);
+  EXPECT_EQ(allocations() - start, 0u);
+  EXPECT_EQ(label, warm);
+
+  start = allocations();
+  const std::vector<double> proba = knn.predict_proba(query);
+  EXPECT_EQ(allocations() - start, 1u);  // the returned vector
+  EXPECT_EQ(proba.size(), 3u);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "stream/session.hpp"
 #include "stream/verdict.hpp"
 #include "tracestore/corpus.hpp"
+#include "tracestore/synth.hpp"
 #include "v2_image_builder.hpp"
 
 namespace ltefp {
@@ -254,6 +255,113 @@ TEST(StreamSession, LanesAreIndependent) {
   EXPECT_EQ(asm_.sessions_started(), 2u);
 }
 
+TEST(StreamSession, LaneCutAtFeedTimeAndReopenedIsListedOnce) {
+  features::WindowConfig window;
+  stream::SessionAssembler asm_(window, attacks::kSessionIdleCutoffMs);
+  std::vector<stream::PendingWindow> windows;
+  std::vector<stream::SessionEnd> ends;
+
+  asm_.feed(rec(5, 1000), windows, ends);
+  asm_.feed(rec(9, 1010), windows, ends);
+  asm_.feed(rec(2, 1020), windows, ends);
+  EXPECT_EQ(asm_.live_lanes(), (std::vector<std::uint32_t>{2, 5, 9}));
+  // Lane 5's next record is a cutoff later: its session ends and the
+  // next one opens in the same feed, and the lane stays listed once.
+  asm_.feed(rec(5, 1000 + attacks::kSessionIdleCutoffMs), windows, ends);
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_EQ(ends[0].lane, 5u);
+  EXPECT_EQ(asm_.live_lanes(), (std::vector<std::uint32_t>{2, 5, 9}));
+
+  // A listed-twice lane would be closed twice here.
+  asm_.finish(windows, ends);
+  ASSERT_EQ(ends.size(), 4u);
+  EXPECT_EQ(ends[1].lane, 2u);
+  EXPECT_EQ(ends[2].lane, 5u);
+  EXPECT_EQ(ends[2].session, 1u);
+  EXPECT_EQ(ends[3].lane, 9u);
+  EXPECT_TRUE(asm_.live_lanes().empty());
+}
+
+TEST(StreamSession, AdvanceDropsCutLanesAndKeepsTheRestInOrder) {
+  features::WindowConfig window;
+  stream::SessionAssembler asm_(window, attacks::kSessionIdleCutoffMs);
+  std::vector<stream::PendingWindow> windows;
+  std::vector<stream::SessionEnd> ends;
+
+  asm_.feed(rec(4, 100), windows, ends);
+  asm_.feed(rec(1, 200), windows, ends);
+  asm_.feed(rec(7, 5'000), windows, ends);
+  asm_.feed(rec(3, 300), windows, ends);
+  // Lanes 1, 3 and 4 reach their cutoff by this mark; lane 7 does not.
+  asm_.advance(300 + attacks::kSessionIdleCutoffMs, windows, ends);
+  ASSERT_EQ(ends.size(), 3u);
+  EXPECT_EQ(ends[0].lane, 1u);  // cut in lane order
+  EXPECT_EQ(ends[1].lane, 3u);
+  EXPECT_EQ(ends[2].lane, 4u);
+  EXPECT_EQ(asm_.live_lanes(), std::vector<std::uint32_t>{7});
+
+  // A cut lane reopens with its next session index and rejoins in order.
+  asm_.feed(rec(3, 70'000), windows, ends);
+  EXPECT_EQ(asm_.live_lanes(), (std::vector<std::uint32_t>{3, 7}));
+  asm_.finish(windows, ends);
+  ASSERT_EQ(ends.size(), 5u);
+  EXPECT_EQ(ends[3].lane, 3u);
+  EXPECT_EQ(ends[3].session, 1u);
+  EXPECT_EQ(ends[4].lane, 7u);
+}
+
+TEST(StreamSession, WatermarkRunAfterEverySessionEndedEmitsNothing) {
+  // Marks keep coming after the last session ended, as they do for a
+  // worker whose lanes have all gone quiet. They emit nothing, and the
+  // whole output equals an assembler that saw no marks at all: finish()
+  // cuts each session with the same windows and end time.
+  features::WindowConfig window;
+  stream::SessionAssembler ticked(window, attacks::kSessionIdleCutoffMs);
+  stream::SessionAssembler plain(window, attacks::kSessionIdleCutoffMs);
+  std::vector<stream::PendingWindow> windows, plain_windows;
+  std::vector<stream::SessionEnd> ends, plain_ends;
+  std::vector<stream::StreamRecord> records;
+  for (std::uint32_t lane = 0; lane < 6; ++lane) {
+    for (const auto& r : synth_trace(300 + lane, 80, 40 * lane)) records.push_back({lane, r});
+  }
+  std::stable_sort(records.begin(), records.end(), [](const auto& a, const auto& b) {
+    return a.record.time < b.record.time;
+  });
+  TimeMs next_wm = stream::kSubframeBatchMs;
+  for (const auto& r : records) {
+    while (r.record.time >= next_wm) {
+      ticked.advance(next_wm, windows, ends);
+      next_wm += stream::kSubframeBatchMs;
+    }
+    ticked.feed(r, windows, ends);
+    plain.feed(r, plain_windows, plain_ends);
+  }
+  // The first grid mark at or past the last session's end cuts it.
+  const TimeMs all_ended = records.back().record.time + attacks::kSessionIdleCutoffMs;
+  for (; next_wm < all_ended + stream::kSubframeBatchMs; next_wm += stream::kSubframeBatchMs) {
+    ticked.advance(next_wm, windows, ends);
+  }
+  ASSERT_EQ(ends.size(), 6u);
+  EXPECT_TRUE(ticked.live_lanes().empty());
+
+  const std::size_t window_count = windows.size();
+  for (int i = 0; i < 20'000; ++i, next_wm += stream::kSubframeBatchMs) {
+    ticked.advance(next_wm, windows, ends);
+  }
+  EXPECT_EQ(windows.size(), window_count);
+  EXPECT_EQ(ends.size(), 6u);
+
+  ticked.finish(windows, ends);
+  plain.finish(plain_windows, plain_ends);
+  // Each lane's windows and end, whichever call emitted them.
+  const auto by_lane = [](auto v) {
+    std::stable_sort(v.begin(), v.end(), [](const auto& a, const auto& b) { return a.lane < b.lane; });
+    return v;
+  };
+  EXPECT_EQ(by_lane(windows), by_lane(plain_windows));
+  EXPECT_EQ(by_lane(ends), by_lane(plain_ends));
+}
+
 TEST(StreamSession, RejectsCutoffNotExceedingWindow) {
   features::WindowConfig window;  // 100 ms
   EXPECT_THROW(stream::SessionAssembler(window, 100), std::invalid_argument);
@@ -437,6 +545,54 @@ TEST(StreamReplay, RejectsLaneFileThatDisagreesWithItsManifestRow) {
   }
   EXPECT_THROW(tracestore::Corpus::open(dir).load(entries[0]), tracestore::TraceStoreError);
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Sharding
+
+TEST(StreamSharding, LanesLiveInOneHourSpreadOverWorkers) {
+  // A synth_city_day corpus numbers its entries cell-major, seq = cell *
+  // hours + hour, and replay uses the seq as the lane, so the 8 lanes live
+  // in one hour of a 24-hour, 8-cell corpus are h, h + 24, ..., h + 168.
+  // 24 is a multiple of 2, 3, 4 and 8, so `lane % K` gives all 8 to one
+  // worker at each of those worker counts and the replay runs at one
+  // worker's speed. worker_of_lane must give no worker all 8.
+  //
+  // Fibonacci (multiplicative) hashing, (lane * 0x9E3779B9) reduced by
+  // multiply-shift, spreads this layout too and measured as fast on its
+  // replay (e2ebench corpus_forensics), but at hours = 8 with K = 2 it
+  // sends all 8 lanes of an hour to one worker: it only moves the aliasing
+  // to another stride. A stateless hash cannot
+  // promise a spread for every layout either (all 8 lanes of an hour meet
+  // on one worker with chance K^-7), so this pins the layout the corpus
+  // replay benchmarks use. Reducing fmix32 by multiply-shift instead of
+  // modulo fails it: all 8 lanes of hour 19 meet at K = 2 and at K = 3.
+  constexpr std::uint32_t kCells = 8;
+  constexpr std::uint32_t kHours = 24;
+  for (const std::size_t workers : {2u, 3u, 4u, 8u}) {
+    std::vector<std::size_t> day_load(workers, 0);
+    for (std::uint32_t hour = 0; hour < kHours; ++hour) {
+      std::vector<std::size_t> load(workers, 0);
+      std::vector<std::size_t> modulo_load(workers, 0);
+      for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+        const std::uint32_t lane = cell * kHours + hour;
+        const std::size_t worker = stream::worker_of_lane(lane, workers);
+        ASSERT_LT(worker, workers);
+        ++load[worker];
+        ++day_load[worker];
+        ++modulo_load[lane % workers];
+      }
+      EXPECT_EQ(*std::max_element(modulo_load.begin(), modulo_load.end()), kCells)
+          << "K=" << workers << " hour " << hour;
+      EXPECT_LT(*std::max_element(load.begin(), load.end()), kCells)
+          << "K=" << workers << " hour " << hour;
+    }
+    for (std::size_t w = 0; w < workers; ++w) EXPECT_GT(day_load[w], 0u) << "K=" << workers;
+  }
+  // One worker owns everything.
+  for (std::uint32_t lane = 0; lane < 1000; ++lane) {
+    EXPECT_EQ(stream::worker_of_lane(lane, 1), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -698,6 +854,51 @@ TEST(StreamEndToEnd, SparseLanesThatFallIdleAndReopenMatchBatch) {
   expect_daemon_matches_batch(records, config, model, verdicts);
   EXPECT_TRUE(ends_at(exact));
   EXPECT_TRUE(ends_at(one_past));
+}
+
+TEST(StreamEndToEnd, ReplayOfASynthCityDayIsWorkerCountInvariant) {
+  // Eight cells over four hours: seqs stride by 4, so the lanes live in
+  // one hour share a residue mod 2 and 4, and hashing the lane moves them
+  // at 3 and 4 workers as well. Every ReplaySource run must give the
+  // verdict stream a VectorSource run over the same records gives, and
+  // that stream's final verdicts equal batch classification.
+  const std::string dir = testing::TempDir() + "ltefp_stream_synth_day";
+  fs::remove_all(dir);
+  tracestore::SynthOptions options;
+  options.seed = 17;
+  options.cells = 8;
+  options.hours = 4;
+  options.ues_per_cell = 4;
+  options.sessions_per_ue_hour = 2.0;
+  tracestore::synth_city_day(dir, options);
+
+  std::vector<stream::StreamRecord> records;
+  {
+    stream::ReplaySource source(dir);
+    stream::StreamRecord r;
+    while (source.next(r)) records.push_back(r);
+  }
+  ASSERT_FALSE(records.empty());
+  std::vector<bool> hours_live(options.hours, false);
+  for (const auto& r : records) hours_live[r.lane % options.hours] = true;
+  for (std::size_t h = 0; h < options.hours; ++h) EXPECT_TRUE(hours_live[h]) << "hour " << h;
+
+  stream::StreamConfig config;
+  const ml::RandomForest model = vote_model(config.window);
+  std::vector<stream::VerdictRecord> oracle;
+  expect_daemon_matches_batch(records, config, model, oracle);
+  ASSERT_FALSE(oracle.empty());
+  const std::string expected = render_csv(oracle);
+
+  for (const int workers : {1, 2, 3, 4, 8}) {
+    config.workers = workers;
+    stream::ReplaySource source(dir);
+    stream::CollectorSink sink;
+    const stream::StreamStats stats = stream::StreamDaemon(model, config).run(source, sink);
+    EXPECT_EQ(stats.records, records.size()) << workers << " workers";
+    EXPECT_EQ(render_csv(sink.verdicts()), expected) << workers << " workers";
+  }
+  fs::remove_all(dir);
 }
 
 TEST(StreamEndToEnd, LateRecordsAreDroppedAndCounted) {

@@ -10,7 +10,8 @@
 #   3. the tier-1 ctest suite (including the `golden` output digests), then
 #      the forced-scalar suites and the CLI smokes (synth -> scan, a
 #      negative replay --speed rejected, an unknown flag rejected, live
-#      synth, train -> collect -> classify) and e2ebench/smoke_test.py
+#      synth, train -> collect -> classify, stream verdicts identical at
+#      1/2/4 workers) and e2ebench/smoke_test.py
 #   4. when the compiler supports them: the ASan+UBSan decoder and trainer
 #      suites and the TSan parallel/attack/trainer suites (skip with
 #      --no-sanitizers)
@@ -65,7 +66,7 @@ done
 # benchmark to bench_micro does not silently change this gate — extend the
 # filter (and refresh the baseline) deliberately. The city benches pin
 # their iteration counts, which google-benchmark puts in their names.
-BENCH_FILTER='^BM_Crc16/(4|16384)$|^BM_DciEncodeDecode$|^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/1000/iterations:50000$|^BM_SimStep/100000/iterations:400$|^BM_SimStepRef/1000/iterations:6000$|^BM_SimStepRef/100000/iterations:50$|^BM_SimStepPar/8/(1|2|4)/iterations:100$|^BM_SimStepSparse/(1|4)/iterations:200000$'
+BENCH_FILTER='^BM_Crc16/(4|16384)$|^BM_DciEncodeDecode$|^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_StreamReplaySparse/(1|4)$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/1000/iterations:50000$|^BM_SimStep/100000/iterations:400$|^BM_SimStepRef/1000/iterations:6000$|^BM_SimStepRef/100000/iterations:50$|^BM_SimStepPar/8/(1|2|4)/iterations:100$|^BM_SimStepSparse/(1|4)/iterations:200000$'
 
 run_bench() {
   step "bench build (default config, as the committed baseline)"
@@ -216,6 +217,24 @@ if [[ "$main_gate" == 1 ]]; then
     exit 1
   fi
   rm -rf "$cli_dir"
+
+  step "stream determinism smoke (ltefp stream at 1, 2 and 4 workers)"
+  # The verdict CSV is a pure function of the corpus and the model, so the
+  # replay must be byte-identical at every worker count. Corpus lanes are
+  # seqs that stride by the hour count; the lanes live in one hour shard by
+  # a hash of the lane, so 2 and 4 workers split them differently.
+  stream_dir="$ROOT/build-check/stream_smoke"
+  rm -rf "$stream_dir"
+  mkdir -p "$stream_dir"
+  "$ROOT/build-check/tools/ltefp" synth --out "$stream_dir/corpus" --cells 4 --hours 4
+  "$ROOT/build-check/tools/ltefp" train --traces 1 --minutes 0.5 --out "$stream_dir/model.rf"
+  for n in 1 2 4; do
+    "$ROOT/build-check/tools/ltefp" stream --corpus "$stream_dir/corpus" \
+      --model "$stream_dir/model.rf" --workers "$n" --out "$stream_dir/v$n.csv"
+  done
+  cmp "$stream_dir/v1.csv" "$stream_dir/v2.csv"
+  cmp "$stream_dir/v1.csv" "$stream_dir/v4.csv"
+  rm -rf "$stream_dir"
 
   step "end-to-end benchmark smoke (e2ebench/smoke_test.py)"
   # Every workload at smoke size, untraced and traced, with its output
