@@ -729,6 +729,25 @@ void BM_CollectTracesPar(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectTracesPar)->Args({4, 1})->Args({4, 2})->Args({4, 4})->Unit(benchmark::kMillisecond);
 
+// The campaign's collect schedule: every (app, session) of a T-Mobile
+// campaign on the pool, claimed heaviest estimated session first. Unlike
+// the lab sessions above, commercial sessions differ in cell load, so the
+// claim order decides how long the last worker runs alone.
+void BM_CollectAllTraces(benchmark::State& state) {
+  const ThreadArg threads(state.range(0));
+  attacks::PipelineConfig config;
+  config.op = lte::Operator::kTmobile;
+  config.traces_per_app = 2;
+  config.trace_duration = seconds(5);
+  config.seed = 100;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(attacks::collect_all_traces(config));
+  }
+  state.counters["threads"] = static_cast<double>(thread_count());
+  state.counters["sessions"] = apps::kNumApps * config.traces_per_app;
+}
+BENCHMARK(BM_CollectAllTraces)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 // --- city-scale event engine benchmarks ----------------------------------
 
 // Every city bench advances one city further into its simulated day, so

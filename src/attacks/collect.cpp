@@ -1,6 +1,8 @@
 #include "attacks/collect.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <unordered_set>
 
 #include "apps/background.hpp"
@@ -90,11 +92,37 @@ std::uint64_t session_seed(std::uint64_t campaign_seed, apps::AppId app, int ses
 std::vector<CollectedTrace> collect_traces(apps::AppId app, int count,
                                            const CollectConfig& config) {
   if (count <= 0) return {};
-  return parallel_map(static_cast<std::size_t>(count), [&](std::size_t i) {
-    CollectConfig c = config;
-    c.seed = session_seed(config.seed, app, static_cast<int>(i), config.day);
-    return collect_trace(app, c);
+  std::vector<SessionTask> tasks(static_cast<std::size_t>(count), SessionTask{app, config});
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].config.seed = session_seed(config.seed, app, static_cast<int>(i), config.day);
+  }
+  return collect_sessions(tasks);
+}
+
+double estimated_session_cost(const CollectConfig& config) {
+  const lte::OperatorProfile profile =
+      lte::perturb_for_session(lte::operator_profile(config.op), config.seed);
+  return static_cast<double>(profile.background_ues) * profile.background_load_bps;
+}
+
+std::vector<CollectedTrace> collect_sessions(std::span<const SessionTask> tasks) {
+  std::vector<double> cost(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) cost[i] = estimated_session_cost(tasks[i].config);
+  std::vector<std::size_t> claim(tasks.size());
+  std::iota(claim.begin(), claim.end(), std::size_t{0});
+  std::stable_sort(claim.begin(), claim.end(),
+                   [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
+  // The pool hands out chunks in ascending order, so chunk k runs task
+  // claim[k]: the long sessions start first and the short ones fill in
+  // behind them, instead of a long one starting last and running alone.
+  std::vector<CollectedTrace> out(tasks.size());
+  parallel_for(tasks.size(), /*chunk=*/1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const SessionTask& task = tasks[claim[k]];
+      out[claim[k]] = collect_trace(task.app, task.config);
+    }
   });
+  return out;
 }
 
 }  // namespace ltefp::attacks

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app_id.hpp"
@@ -74,5 +75,26 @@ std::uint64_t session_seed(std::uint64_t campaign_seed, apps::AppId app, int ses
 /// results are returned in session-index order regardless of thread count.
 std::vector<CollectedTrace> collect_traces(apps::AppId app, int count,
                                            const CollectConfig& config);
+
+/// One collection session: the app and its config, seed already derived.
+struct SessionTask {
+  apps::AppId app = apps::AppId::kNetflix;
+  CollectConfig config;
+};
+
+/// A session's estimated cost before it runs: the background UE count
+/// times their offered load, of the cell profile the session will
+/// simulate (lte::perturb_for_session). On commercial profiles it tracks
+/// measured session time when cell load dominates it, as in minute-long
+/// sessions; it leaves out the victim app's own traffic, which weighs more
+/// in sessions of a few seconds. Lab sessions all estimate the same.
+double estimated_session_cost(const CollectConfig& config);
+
+/// Runs every session on the global pool, out[i] = collect_trace of
+/// tasks[i]. Workers claim sessions heaviest estimated cost first (a stable
+/// order, so equal estimates keep index order), which keeps the longest
+/// sessions from starting last; each result goes to its own index slot, so
+/// the output does not depend on claim order or thread count.
+std::vector<CollectedTrace> collect_sessions(std::span<const SessionTask> tasks);
 
 }  // namespace ltefp::attacks

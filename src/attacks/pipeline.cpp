@@ -25,9 +25,17 @@ features::Dataset dataset_from_traces(std::span<const CollectedTrace> traces,
   for (int i = 0; i < apps::kNumApps; ++i) {
     data.label_names[static_cast<std::size_t>(i)] = apps::to_string(apps::kAllApps[static_cast<std::size_t>(i)]);
   }
-  for (const auto& t : traces) {
-    features::append_windows(data, t.trace, t.session_start, window,
-                             static_cast<int>(t.app));
+  // Window the traces concurrently, then append in trace order: the
+  // dataset's row order is the same at any thread count.
+  std::vector<std::vector<features::FeatureVector>> windows =
+      parallel_map(traces.size(), [&](std::size_t i) {
+        return features::extract_windows(traces[i].trace, traces[i].session_start, window);
+      });
+  std::size_t total = 0;
+  for (const auto& w : windows) total += w.size();
+  data.samples.reserve(total);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    for (auto& f : windows[i]) data.add(std::move(f), static_cast<int>(traces[i].app));
   }
   return data;
 }
@@ -47,15 +55,18 @@ std::vector<CollectedTrace> collect_all_traces(const PipelineConfig& config) {
   // One flat task per (app, session): all sessions of the campaign run
   // concurrently, not just sessions within one app. session_seed() makes
   // each task's RNG stream a pure function of its coordinates, and the
-  // slot-indexed map keeps the canonical app-major order, so the result is
-  // bit-identical to the serial per-app loop at any thread count.
+  // slot-indexed result keeps the canonical app-major order whatever order
+  // the sessions are claimed in, so the result is bit-identical to the
+  // serial per-app loop at any thread count.
   const auto per_app = static_cast<std::size_t>(config.traces_per_app);
-  return parallel_map(static_cast<std::size_t>(apps::kNumApps) * per_app, [&](std::size_t i) {
-    const apps::AppId app = apps::kAllApps[i / per_app];
-    CollectConfig c = collect;
-    c.seed = session_seed(collect.seed, app, static_cast<int>(i % per_app), collect.day);
-    return collect_trace(app, c);
-  });
+  std::vector<SessionTask> tasks(static_cast<std::size_t>(apps::kNumApps) * per_app);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].app = apps::kAllApps[i / per_app];
+    tasks[i].config = collect;
+    tasks[i].config.seed =
+        session_seed(collect.seed, tasks[i].app, static_cast<int>(i % per_app), collect.day);
+  }
+  return collect_sessions(tasks);
 }
 
 features::Dataset build_dataset(const PipelineConfig& config) {

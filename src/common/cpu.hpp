@@ -1,8 +1,8 @@
 // Runtime SIMD feature detection and dispatch-tier selection.
 //
 // Every vectorized kernel in the tree (the DTW anti-diagonal kernel in
-// src/dtw, the flat-forest traversal in src/ml) is compiled in up to three
-// tiers — portable scalar, SSE2, AVX2 — and the one that runs is picked at
+// src/dtw, the flat-forest traversal and the tree trainer's split-search
+// bucketing in src/ml) is compiled in up to three tiers — portable scalar, SSE2, AVX2 — and the one that runs is picked at
 // RUN time through this shim, never at compile time alone. That keeps one
 // binary correct on any x86-64 host (and non-x86 hosts, which always take
 // scalar) while the AVX2 translation units are built with -mavx2 and only

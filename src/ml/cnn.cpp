@@ -81,19 +81,25 @@ void Cnn1D::fit_rows(const features::DatasetMatrix& train,
   const auto batch = static_cast<std::size_t>(std::max(1, config_.batch_size));
   const int half = config_.kernel / 2;
 
+  // Per-step buffers, sized once: a step only zeroes or overwrites them.
   Activations act;
+  auto conv_w_g = conv_w_v;
+  std::vector<double> conv_b_g(conv_b_.size());
+  auto dense_w_g = dense_w_v;
+  std::vector<double> dense_b_g(dense_b_.size());
+  std::vector<double> dlogits(static_cast<std::size_t>(num_classes_));
+  std::vector<double> dconv(static_cast<std::size_t>(flat));
+  const auto zero = [](std::vector<double>& v) { std::fill(v.begin(), v.end(), 0.0); };
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
     const double lr = config_.learning_rate / std::sqrt(1.0 + static_cast<double>(epoch) / 10.0);
     for (std::size_t start = 0; start < order.size(); start += batch) {
       const std::size_t stop = std::min(order.size(), start + batch);
 
-      auto conv_w_g = conv_w_;
-      for (auto& w : conv_w_g) std::fill(w.begin(), w.end(), 0.0);
-      std::vector<double> conv_b_g(conv_b_.size(), 0.0);
-      auto dense_w_g = dense_w_;
-      for (auto& w : dense_w_g) std::fill(w.begin(), w.end(), 0.0);
-      std::vector<double> dense_b_g(dense_b_.size(), 0.0);
+      for (auto& w : conv_w_g) zero(w);
+      zero(conv_b_g);
+      for (auto& w : dense_w_g) zero(w);
+      zero(dense_b_g);
 
       for (std::size_t i = start; i < stop; ++i) {
         const std::size_t idx = order[i];
@@ -102,11 +108,11 @@ void Cnn1D::fit_rows(const features::DatasetMatrix& train,
         const int y = xs.labels[idx];
 
         // dL/dlogits = proba - onehot
-        std::vector<double> dlogits(act.proba);
+        std::copy(act.proba.begin(), act.proba.end(), dlogits.begin());
         dlogits[static_cast<std::size_t>(y)] -= 1.0;
 
         // Dense layer gradients and backprop into conv activations.
-        std::vector<double> dconv(act.conv.size(), 0.0);
+        zero(dconv);
         for (int c = 0; c < num_classes_; ++c) {
           const double dz = dlogits[static_cast<std::size_t>(c)];
           auto& gw = dense_w_g[static_cast<std::size_t>(c)];

@@ -26,6 +26,15 @@ void DecisionTree::fit(const features::DatasetMatrix& data,
                        std::span<const std::size_t> indices, int num_classes) {
   if (indices.empty()) throw std::invalid_argument("DecisionTree::fit: no samples");
   if (num_classes <= 0) throw std::invalid_argument("DecisionTree::fit: bad class count");
+  // Labels index the class-count and histogram buffers: check every one
+  // the tree will read before building.
+  const std::span<const int> row_labels = data.labels();
+  for (const std::size_t row : indices) {
+    if (row >= row_labels.size()) throw std::invalid_argument("DecisionTree::fit: row out of range");
+    if (row_labels[row] < 0 || row_labels[row] >= num_classes) {
+      throw std::invalid_argument("DecisionTree::fit: label outside [0, num_classes)");
+    }
+  }
   nodes_.clear();
   matrix_ = &data;
 
@@ -49,6 +58,7 @@ void DecisionTree::fit(const features::DatasetMatrix& data,
   s.sorted.assign(padded, std::numeric_limits<double>::infinity());
   s.hist.resize(padded * classes);
   s.running.resize(classes);
+  s.bucket = select_bucket_kernel();
 
   build(0, n, 0);
 
@@ -124,36 +134,46 @@ int DecisionTree::build(std::size_t begin, std::size_t end, int depth) {
 
     // Rank the candidates by threshold, ties by candidate index: a stable
     // counting sort, whose C^2 branch-free compares beat a comparison sort
-    // at the few dozen candidates a node draws.
+    // at the few dozen candidates a node draws. A NaN candidate (from a NaN
+    // value, or from +inf plus -inf) sends every value right, so it is
+    // never accepted: it gets no rank and a +inf score, which keeps the
+    // ranked thresholds non-decreasing and NaN-free for the bucket kernel.
+    std::size_t ordered = 0;
     for (std::size_t c = 0; c < candidates; ++c) {
       const double t = s.threshold[c];
+      if (std::isnan(t)) {
+        s.score[c] = std::numeric_limits<double>::infinity();
+        continue;
+      }
       std::size_t r = 0;
       for (std::size_t d = 0; d < c; ++d) r += s.threshold[d] <= t ? 1 : 0;
       for (std::size_t d = c + 1; d < candidates; ++d) r += s.threshold[d] < t ? 1 : 0;
       s.order[r] = c;
       s.sorted[r] = t;
+      ++ordered;
     }
+    std::fill(s.sorted.begin() + static_cast<std::ptrdiff_t>(ordered),
+              s.sorted.begin() + static_cast<std::ptrdiff_t>(candidates),
+              std::numeric_limits<double>::infinity());
 
-    // Bucket each value by how many sorted thresholds lie below it (a NaN
-    // lands past them all): the value goes left of the rank-r candidate
-    // exactly when its bucket is <= r. The search is branchless over the
-    // padded array, whose +inf tail no value exceeds.
+    // Bucket each value by how many ranked thresholds lie below it: the
+    // value goes left of the rank-r candidate exactly when its bucket is
+    // <= r, and a NaN value lands past every rank (ml/split_kernels.hpp).
     std::fill(s.hist.begin(), s.hist.end(), 0u);
-    const double* sorted = s.sorted.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = s.values[i];
-      std::size_t bucket = 0;
-      for (std::size_t step = padded / 2; step > 0; step /= 2) {
-        bucket += step * static_cast<std::size_t>(!(v <= sorted[bucket + step - 1]));
-      }
-      ++s.hist[bucket * classes + static_cast<std::size_t>(s.labels[i])];
-    }
+    s.bucket({.values = s.values.data(),
+              .labels = s.labels.data(),
+              .n = n,
+              .sorted = s.sorted.data(),
+              .ordered = ordered,
+              .padded = padded,
+              .hist = s.hist.data(),
+              .classes = classes});
 
     // Sweep the buckets in threshold order: after adding bucket r, the
     // running counts are the left class counts of the rank-r candidate.
     std::fill(s.running.begin(), s.running.end(), 0u);
     std::uint32_t n_running = 0;
-    for (std::size_t r = 0; r < candidates; ++r) {
+    for (std::size_t r = 0; r < ordered; ++r) {
       const std::uint32_t* bucket = s.hist.data() + r * classes;
       for (std::size_t k = 0; k < classes; ++k) {
         s.running[k] += bucket[k];

@@ -9,13 +9,20 @@
 // The trainer is columnar and needs no presort: for each tried feature a
 // node gathers its values in node order, draws the candidate thresholds
 // from them with the same RNG stream as the original per-candidate rescan
-// trainer, ranks the candidates by threshold, and buckets every value by
-// a branchless search over them. A running sum over the bucket-by-class
+// trainer, ranks the candidates by threshold, and buckets every value
+// among them (ml/split_kernels.hpp: a binary search, or an AVX2
+// compare-count; both exact). A running sum over the bucket-by-class
 // histogram, in threshold order, gives each candidate's left class
-// counts, so all candidates of a feature cost one pass over the node. Split decisions, thresholds, tie order, and the
-// RNG stream are unchanged, so trained trees are bit-identical to the
-// historical AoS trainer (pinned by tests/test_columnar_ml.cpp against a
-// reference implementation).
+// counts, so all candidates of a feature cost one pass over the node.
+// Split decisions, thresholds, tie order, and the RNG stream are
+// unchanged, so trained trees are bit-identical to the historical AoS
+// trainer (pinned by tests/test_columnar_ml.cpp against a reference
+// implementation, at every SIMD tier).
+//
+// Non-finite features follow the reference's policy: a NaN value goes
+// right of every threshold, as in prediction, and a NaN candidate
+// threshold (drawn from a NaN value, or from +inf plus -inf) is never
+// accepted.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +32,7 @@
 #include "common/rng.hpp"
 #include "features/dataset.hpp"
 #include "features/matrix.hpp"
+#include "ml/split_kernels.hpp"
 
 namespace ltefp::ml {
 
@@ -45,7 +53,8 @@ class DecisionTree {
   /// Fits on the subset of `data` given by `indices` (duplicates allowed —
   /// this is how the forest passes bootstrap resamples). Row order of
   /// `indices` is significant: candidate thresholds are drawn from node
-  /// positions.
+  /// positions. Throws std::invalid_argument when `indices` is empty, a
+  /// row is out of range, or a row's label is outside [0, num_classes).
   void fit(const features::DatasetMatrix& data, std::span<const std::size_t> indices,
            int num_classes);
 
@@ -101,11 +110,12 @@ class DecisionTree {
     std::vector<double> left_counts;    // scored candidate's left class counts
     std::vector<double> right_counts;   // and right class counts
     std::vector<double> threshold;      // per candidate, in draw order
-    std::vector<std::size_t> order;     // rank -> candidate (by threshold, then index)
-    std::vector<double> sorted;         // thresholds by rank, +inf padded to 2^k
+    std::vector<std::size_t> order;     // rank -> non-NaN candidate (by threshold, then index)
+    std::vector<double> sorted;         // non-NaN thresholds by rank, +inf padded to 2^k
     std::vector<std::uint32_t> hist;    // bucket x class value counts
     std::vector<std::uint32_t> running; // sweep: left class counts so far
-    std::vector<double> score;          // per candidate; +inf if a side is too small
+    std::vector<double> score;          // per candidate; +inf if never accepted
+    BucketFn bucket = nullptr;          // bucketing tier, chosen once per fit
   };
   const features::DatasetMatrix* matrix_ = nullptr;
   FitScratch scratch_;

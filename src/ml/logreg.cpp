@@ -48,6 +48,8 @@ void LogisticRegression::fit_rows(const features::DatasetMatrix& train,
   std::vector<double> proba(static_cast<std::size_t>(num_classes_));
 
   const auto batch = static_cast<std::size_t>(std::max(1, config_.batch_size));
+  std::vector<std::vector<double>> grad(static_cast<std::size_t>(num_classes_),
+                                        std::vector<double>(dims + 1));
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
     // Simple 1/sqrt(t) step-size decay keeps late epochs stable.
@@ -55,8 +57,7 @@ void LogisticRegression::fit_rows(const features::DatasetMatrix& train,
     for (std::size_t start = 0; start < order.size(); start += batch) {
       const std::size_t stop = std::min(order.size(), start + batch);
       // Accumulate gradient over the batch.
-      std::vector<std::vector<double>> grad(static_cast<std::size_t>(num_classes_),
-                                            std::vector<double>(dims + 1, 0.0));
+      for (auto& g : grad) std::fill(g.begin(), g.end(), 0.0);
       for (std::size_t i = start; i < stop; ++i) {
         const std::size_t idx = order[i];
         const auto x = xs.row(idx);

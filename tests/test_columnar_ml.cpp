@@ -9,6 +9,8 @@
 //  * cross_val_accuracy must run copy-free through fit_rows/predict_rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -16,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "features/matrix.hpp"
@@ -25,6 +28,8 @@
 #include "ml/logreg.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
+#include "ml/split_kernels.hpp"
+#include "simd_tiers.hpp"
 
 namespace ltefp::ml {
 namespace {
@@ -53,6 +58,31 @@ Dataset tricky_dataset(std::size_t n, int classes, std::uint64_t seed) {
               rng.normal(-base, 0.5),
               std::round(rng.normal(0.0, 3.0)) / 2.0,
               1.5},                                                       // constant column
+             label);
+  }
+  return data;
+}
+
+// Non-finite features: a column with 20 % NaN, one with +-inf on either
+// side of its finite values, and one of signed zeros among +-1. NaN
+// values reach the threshold draws (NaN candidates), and the infinite
+// column makes the a == b draw add +inf to -inf (NaN candidates too).
+Dataset non_finite_dataset(std::size_t n, int classes, std::uint64_t seed) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(seed);
+  Dataset data;
+  data.feature_names = {"signal", "nan20", "inf", "zeros"};
+  data.label_names.resize(static_cast<std::size_t>(classes));
+  for (std::size_t i = 0; i < n; ++i) {
+    const int label = static_cast<int>(rng.index(static_cast<std::size_t>(classes)));
+    const double base = static_cast<double>(label);
+    const double u = rng.uniform();
+    const double zeros[] = {-1.0, -0.0, 0.0, 1.0};
+    data.add({rng.normal(base, 1.5),
+              rng.uniform() < 0.2 ? kNan : rng.normal(2.0 * base, 1.0),
+              u < 0.15 ? kInf : (u < 0.3 ? -kInf : rng.normal(-base, 1.0)),
+              zeros[(static_cast<std::size_t>(label) + rng.index(2)) % 4]},
              label);
   }
   return data;
@@ -304,6 +334,103 @@ TEST(ColumnarTrainer, ConstantFeatureDatasetStillMatchesReference) {
   forest.fit(data);
   EXPECT_EQ(serialized(forest), serialized(reference_forest(data, config)));
   for (const auto& tree : forest.trees()) EXPECT_EQ(tree.node_count(), 1);
+}
+
+// NaN candidates are never accepted and NaN values go right, as in the
+// rescan reference and in prediction, at every bucketing tier. Every
+// comparison with NaN is false, so a NaN candidate given a counting-sort
+// rank would collide with rank 0 and leave another rank's slots stale.
+TEST(ColumnarTrainer, NonFiniteFeaturesMatchReference) {
+  ThreadGuard threads;
+  TierGuard tier_guard;
+  set_thread_count(2);
+  const Dataset data = non_finite_dataset(300, 3, 23);
+  for (const int candidates : {1, 7, 24, 40}) {
+    ForestConfig config;
+    config.num_trees = 6;
+    config.seed = 5;
+    config.tree.threshold_candidates = candidates;
+    const std::string expected = serialized(reference_forest(data, config));
+    for (const SimdTier tier : executable_tiers()) {
+      set_simd_tier(tier);
+      RandomForest forest(config);
+      forest.fit(data);
+      EXPECT_EQ(serialized(forest), expected)
+          << "candidates " << candidates << " tier " << to_string(tier);
+      EXPECT_GT(forest.trees().front().node_count(), 1) << "candidates " << candidates;
+    }
+  }
+}
+
+// Both bucketing tiers fill the same histogram slots below the ordered
+// count, for every tail length and for ties, infinities and signed zeros;
+// a NaN value lands at or past the ordered count, inside the histogram.
+TEST(ColumnarTrainer, BucketKernelsAgreeBelowTheOrderedCount) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kClasses = 3;
+  Rng rng(31);
+  for (const std::size_t ordered : {std::size_t{1}, std::size_t{5}, std::size_t{24}}) {
+    const std::size_t padded = std::bit_ceil(ordered + 1);
+    std::vector<double> sorted(padded, kInf);
+    for (std::size_t r = 0; r < ordered; ++r) sorted[r] = std::round(rng.normal(0.0, 3.0)) / 2.0;
+    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(ordered));
+    sorted[0] = -0.0;
+    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(ordered));
+    for (std::size_t n = 0; n <= 40; ++n) {
+      std::vector<double> values(n);
+      std::vector<int> labels(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t kind = rng.index(8);
+        values[i] = kind == 0   ? std::numeric_limits<double>::quiet_NaN()
+                    : kind == 1 ? (rng.index(2) ? kInf : -kInf)
+                    : kind == 2 ? sorted[rng.index(ordered)]
+                    : kind == 3 ? 0.0
+                                : std::round(rng.normal(0.0, 3.0)) / 2.0;
+        labels[i] = static_cast<int>(rng.index(kClasses));
+      }
+      std::vector<std::uint32_t> scalar_hist(padded * kClasses, 0);
+      std::vector<std::uint32_t> wide_hist(padded * kClasses, 0);
+      BucketArgs args;
+      args.values = values.data();
+      args.labels = labels.data();
+      args.n = n;
+      args.sorted = sorted.data();
+      args.ordered = ordered;
+      args.padded = padded;
+      args.classes = kClasses;
+      args.hist = scalar_hist.data();
+      bucket_scalar(args);
+      if (detected_simd_tier() < SimdTier::kAvx2) continue;
+      args.hist = wide_hist.data();
+      bucket_avx2(args);
+      const auto below = static_cast<std::ptrdiff_t>(ordered * kClasses);
+      EXPECT_TRUE(std::equal(scalar_hist.begin(), scalar_hist.begin() + below, wide_hist.begin()))
+          << "ordered " << ordered << " n " << n;
+      std::uint32_t past_scalar = 0;
+      std::uint32_t past_wide = 0;
+      for (std::size_t k = ordered * kClasses; k < padded * kClasses; ++k) {
+        past_scalar += scalar_hist[k];
+        past_wide += wide_hist[k];
+      }
+      EXPECT_EQ(past_scalar, past_wide) << "ordered " << ordered << " n " << n;
+    }
+  }
+}
+
+TEST(ColumnarTrainer, LabelOutsideClassCountThrows) {
+  const Dataset data = tricky_dataset(40, 3, 5);  // labels 0, 1 and 2
+  const DatasetMatrix matrix(data);
+  std::vector<std::size_t> all(matrix.rows());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(matrix, all, 2), std::invalid_argument);
+  std::vector<int> negative(matrix.labels().begin(), matrix.labels().end());
+  negative[17] = -1;
+  EXPECT_THROW(tree.fit(matrix.with_labels(negative, data.label_names), all, 3), std::invalid_argument);
+  EXPECT_THROW(tree.fit(matrix, std::vector<std::size_t>{matrix.rows()}, 3),
+               std::invalid_argument);
+  tree.fit(matrix, all, 3);
+  EXPECT_TRUE(tree.trained());
 }
 
 TEST(ColumnarTrainer, EmptyIndicesThrow) {

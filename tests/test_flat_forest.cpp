@@ -29,6 +29,7 @@
 #include "ml/flat_forest_kernels.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
+#include "simd_tiers.hpp"
 
 namespace ltefp::ml {
 namespace {
@@ -40,18 +41,6 @@ using features::FeatureVector;
 struct ThreadGuard {
   ~ThreadGuard() { set_thread_count(0); }
 };
-
-struct TierGuard {
-  ~TierGuard() { clear_simd_tier_override(); }
-};
-
-/// Every tier the host can actually execute, lowest first.
-std::vector<SimdTier> executable_tiers() {
-  std::vector<SimdTier> tiers = {SimdTier::kScalar};
-  if (detected_simd_tier() >= SimdTier::kSse2) tiers.push_back(SimdTier::kSse2);
-  if (detected_simd_tier() >= SimdTier::kAvx2) tiers.push_back(SimdTier::kAvx2);
-  return tiers;
-}
 
 // Synthetic dataset with deliberate ties (quantised columns), a constant
 // column, and class imbalance — trees split on repeated thresholds and

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -222,6 +223,45 @@ TEST(BitIdentity, CollectTracesMatchAcrossThreadCounts) {
       EXPECT_EQ(traces[i].session_start, base[i].session_start);
       EXPECT_EQ(traces[i].rnti_count, base[i].rnti_count);
     }
+  }
+}
+
+// Commercial sessions differ in estimated cost, so the pool claims them
+// heaviest first, out of app-major order: each trace must still land in
+// its own app-major slot, equal to a serial collect_trace of that session,
+// and windowing the traces in parallel must keep the dataset's row order.
+TEST(BitIdentity, CollectAllTracesKeepsAppMajorOrderWhenClaimedHeaviestFirst) {
+  attacks::PipelineConfig config;
+  config.op = lte::Operator::kTmobile;
+  config.traces_per_app = 2;
+  config.trace_duration = seconds(5);
+  config.seed = 100;
+  const auto traces = at_threads(4, [&] { return attacks::collect_all_traces(config); });
+  ASSERT_EQ(traces.size(), static_cast<std::size_t>(apps::kNumApps) * 2);
+  attacks::CollectConfig collect;
+  collect.op = config.op;
+  collect.duration = config.trace_duration;
+  collect.day_jitter_range = 30;
+  std::vector<double> cost;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const apps::AppId app = apps::kAllApps[i / 2];
+    attacks::CollectConfig c = collect;
+    c.seed = attacks::session_seed(config.seed, app, static_cast<int>(i % 2), 0);
+    cost.push_back(attacks::estimated_session_cost(c));
+    const auto serial = at_threads(1, [&] { return attacks::collect_trace(app, c); });
+    EXPECT_EQ(traces[i].app, app) << "slot " << i;
+    EXPECT_EQ(traces[i].trace, serial.trace) << "slot " << i;
+  }
+  // Not already descending: the claim order really left app-major order.
+  EXPECT_FALSE(std::is_sorted(cost.begin(), cost.end(), std::greater<>()));
+  const features::WindowConfig window;
+  const auto serial = at_threads(1, [&] { return attacks::dataset_from_traces(traces, window); });
+  const auto parallel = at_threads(4, [&] { return attacks::dataset_from_traces(traces, window); });
+  ASSERT_EQ(parallel.size(), serial.size());
+  ASSERT_GT(serial.size(), 0u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(parallel.samples[i].label, serial.samples[i].label) << "row " << i;
+    EXPECT_EQ(parallel.samples[i].features, serial.samples[i].features) << "row " << i;
   }
 }
 

@@ -18,7 +18,10 @@
 //     vector per row;
 //   - one Knn::predict after warm-up allocates nothing, and one
 //     Knn::predict_proba allocates only the vector it returns: both reuse
-//     a per-thread scratch.
+//     a per-thread scratch;
+//   - Cnn1D::fit_rows and LogisticRegression::fit_rows allocate as many
+//     times for 20 epochs as for 10: every per-sample and per-mini-batch
+//     buffer is sized once per fit.
 //
 // It is its own executable because the counting operator new is global.
 #include <gtest/gtest.h>
@@ -40,8 +43,10 @@
 #include "lte/network.hpp"
 #include "lte/observer.hpp"
 #include "lte/operator_profile.hpp"
+#include "ml/cnn.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/knn.hpp"
+#include "ml/logreg.hpp"
 
 namespace {
 
@@ -262,6 +267,50 @@ TEST(SteadyStateAlloc, KnnPredictAfterWarmUpAllocatesNothing) {
   const std::vector<double> proba = knn.predict_proba(query);
   EXPECT_EQ(allocations() - start, 1u);  // the returned vector
   EXPECT_EQ(proba.size(), 3u);
+}
+
+/// Four-class blobs for the epoch-count pins below.
+features::DatasetMatrix learner_matrix() {
+  Rng rng(6);
+  features::Dataset data;
+  data.feature_names = {"f0", "f1", "f2", "f3", "f4"};
+  data.label_names.resize(4);
+  for (int i = 0; i < 300; ++i) {
+    const int label = static_cast<int>(rng.index(4));
+    features::FeatureVector x(data.feature_names.size());
+    for (double& v : x) v = rng.normal(label, 1.0);
+    data.add(std::move(x), label);
+  }
+  return features::DatasetMatrix(data);
+}
+
+/// Allocations of one fit_rows over every row of `matrix`.
+template <typename Model>
+std::uint64_t fit_allocations(Model model, const features::DatasetMatrix& matrix) {
+  const std::vector<std::uint32_t> rows = matrix.all_rows();
+  const std::uint64_t start = allocations();
+  model.fit_rows(matrix, rows);
+  return allocations() - start;
+}
+
+TEST(SteadyStateAlloc, CnnFitAllocationsDoNotGrowWithEpochs) {
+  const ThreadGuard guard;
+  set_thread_count(1);
+  const features::DatasetMatrix matrix = learner_matrix();
+  const std::uint64_t ten = fit_allocations(ml::Cnn1D(ml::CnnConfig{.epochs = 10}), matrix);
+  const std::uint64_t twenty = fit_allocations(ml::Cnn1D(ml::CnnConfig{.epochs = 20}), matrix);
+  EXPECT_EQ(ten, twenty) << "10 epochs: " << ten << ", 20 epochs: " << twenty;
+}
+
+TEST(SteadyStateAlloc, LogRegFitAllocationsDoNotGrowWithEpochs) {
+  const ThreadGuard guard;
+  set_thread_count(1);
+  const features::DatasetMatrix matrix = learner_matrix();
+  const std::uint64_t ten =
+      fit_allocations(ml::LogisticRegression(ml::LogRegConfig{.epochs = 10}), matrix);
+  const std::uint64_t twenty =
+      fit_allocations(ml::LogisticRegression(ml::LogRegConfig{.epochs = 20}), matrix);
+  EXPECT_EQ(ten, twenty) << "10 epochs: " << ten << ", 20 epochs: " << twenty;
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ done
 # benchmark to bench_micro does not silently change this gate — extend the
 # filter (and refresh the baseline) deliberately. The city benches pin
 # their iteration counts, which google-benchmark puts in their names.
-BENCH_FILTER='^BM_Crc16/(4|16384)$|^BM_DciEncodeDecode$|^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_StreamReplaySparse/(1|4)$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/1000/iterations:50000$|^BM_SimStep/100000/iterations:400$|^BM_SimStepRef/1000/iterations:6000$|^BM_SimStepRef/100000/iterations:50$|^BM_SimStepPar/8/(1|2|4)/iterations:100$|^BM_SimStepSparse/(1|4)/iterations:200000$'
+BENCH_FILTER='^BM_Crc16/(4|16384)$|^BM_DciEncodeDecode$|^BM_SnifferSubframe/16$|^BM_Dtw/180$|^BM_DtwBestMatch/[01]$|^BM_RandomForestTrain/5000$|^BM_RandomForestPredictBatch$|^BM_RandomForestPredictBatchScalar$|^BM_RandomForestPredictSmall/(1|2|8)$|^BM_DatasetMatrixBuild/5000$|^BM_RandomForestTrainPar/5000/(1|2|4)$|^BM_DtwMatrixPar/24/(1|2|4)$|^BM_BlindDecodeBatchPar/0/(1|2|4)$|^BM_CollectTracesPar/4/(1|2|4)$|^BM_CollectAllTraces/(1|4)$|^BM_SpscQueue$|^BM_StreamIngest/(1|2|4)$|^BM_StreamVerdictLatency$|^BM_StreamReplaySparse/(1|4)$|^BM_TraceStoreWrite/20000$|^BM_TraceStoreRead/20000$|^BM_CorpusOpen$|^BM_CorpusRangeScan$|^BM_CorpusFullDecode$|^BM_SimStep/1000/iterations:50000$|^BM_SimStep/100000/iterations:400$|^BM_SimStepRef/1000/iterations:6000$|^BM_SimStepRef/100000/iterations:50$|^BM_SimStepPar/8/(1|2|4)/iterations:100$|^BM_SimStepSparse/(1|4)/iterations:200000$'
 
 run_bench() {
   step "bench build (default config, as the committed baseline)"
